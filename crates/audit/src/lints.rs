@@ -65,16 +65,21 @@ pub fn lint_regions(subject: &str, report: &EffectReport) -> Vec<Finding> {
     findings
 }
 
-/// Chunk-boundary descriptor multiset of a report: one `(kernel,
-/// primitive, n, chunk)` entry per region. Chunk boundaries are a pure
-/// function of `(n, chunk)`, so two runs of the same workload — at any two
-/// thread counts — must produce identical multisets. Region *order* is
-/// deliberately ignored: nested regions open in scheduling order.
-fn boundary_multiset(report: &EffectReport) -> BTreeMap<(String, &'static str, usize, usize), i64> {
+/// One region's thread-count-independent shape: `(kernel, primitive, n,
+/// chunk, engages)`.
+type RegionShape = (String, &'static str, usize, usize, bool);
+
+/// Chunk-boundary descriptor multiset of a report: one [`RegionShape`]
+/// entry per region. Chunk boundaries are a pure function of `(n, chunk)`
+/// and the engage/inline decision a pure function of the shape, so two
+/// runs of the same workload — at any two thread counts — must produce
+/// identical multisets. Region *order* is deliberately ignored: nested
+/// regions open in scheduling order.
+fn boundary_multiset(report: &EffectReport) -> BTreeMap<RegionShape, i64> {
     let mut counts = BTreeMap::new();
     for r in &report.regions {
         *counts
-            .entry((r.kernel.clone(), r.primitive, r.n, r.chunk))
+            .entry((r.kernel.clone(), r.primitive, r.n, r.chunk, r.engages))
             .or_insert(0) += 1;
     }
     counts
@@ -100,7 +105,7 @@ pub fn lint_chunking(
     }
     counts.retain(|_, n| *n != 0);
     let mut findings = Vec::new();
-    for ((kernel, primitive, n, chunk), delta) in counts.into_iter().take(DIFFS_REPORTED) {
+    for ((kernel, primitive, n, chunk, engages), delta) in counts.into_iter().take(DIFFS_REPORTED) {
         let (more, fewer) = if delta > 0 {
             (threads_a, threads_b)
         } else {
@@ -111,11 +116,11 @@ pub fn lint_chunking(
             rule: "thread-dependent-chunking",
             expected: format!(
                 "identical chunk descriptors at {threads_a} and {threads_b} thread(s) \
-                 (boundaries must depend only on problem size)"
+                 (boundaries and pool engagement must depend only on problem size)"
             ),
             found: format!(
-                "kernel `{kernel}` ({primitive}, n={n}, chunk={chunk}) ran {} more \
-                 time(s) at {more} thread(s) than at {fewer}",
+                "kernel `{kernel}` ({primitive}, n={n}, chunk={chunk}, engages={engages}) ran \
+                 {} more time(s) at {more} thread(s) than at {fewer}",
                 delta.abs()
             ),
         });

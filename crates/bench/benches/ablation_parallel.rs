@@ -6,11 +6,15 @@
 //! single-threaded baseline while it measures speedup — a corrupted
 //! parallel result fails loudly rather than skewing a table.
 //!
-//! On a single-core host every speedup is ~1.0x (there is nothing to run
-//! in parallel on); the table is still useful there as an overhead check.
+//! The `dispatch_empty_region` rows time the pool's hand-off alone — an
+//! empty two-chunk region — back to back (the workers are still polling
+//! for the next job) and after a 1 ms idle gap (they have parked).
+//! `suite_small_gemm` is the 18 Ki-flop weight-gradient product C2 runs
+//! thousands of times per epoch: too little work to amortise a hand-off,
+//! so it should cost the same at every thread count.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use aibench_gpusim::ParallelConfig;
 use aibench_tensor::ops::{conv2d, conv2d_backward_weight, matmul, max_pool2d, Conv2dArgs};
@@ -21,7 +25,7 @@ fn median_ns<R>(samples: usize, iters: usize, mut f: impl FnMut() -> R) -> f64 {
     for _ in 0..iters.min(5) {
         black_box(f());
     }
-    let mut per_call: Vec<f64> = (0..samples)
+    let per_call: Vec<f64> = (0..samples)
         .map(|_| {
             let start = Instant::now();
             for _ in 0..iters {
@@ -30,8 +34,27 @@ fn median_ns<R>(samples: usize, iters: usize, mut f: impl FnMut() -> R) -> f64 {
             start.elapsed().as_nanos() as f64 / iters as f64
         })
         .collect();
-    per_call.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    per_call[per_call.len() / 2]
+    median(per_call)
+}
+
+fn median(mut timings: Vec<f64>) -> f64 {
+    timings.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    timings[timings.len() / 2]
+}
+
+/// Median latency in nanoseconds of one call of `f` made after `gap` of
+/// idleness — long enough that the pool's workers have stopped polling.
+fn median_ns_after_idle(samples: usize, gap: Duration, f: impl Fn()) -> f64 {
+    median(
+        (0..samples)
+            .map(|_| {
+                std::thread::sleep(gap);
+                let start = Instant::now();
+                f();
+                start.elapsed().as_nanos() as f64
+            })
+            .collect(),
+    )
 }
 
 /// The thread counts to sweep: `AIBENCH_SWEEP` (comma-separated) or 1,2,4,8.
@@ -67,6 +90,8 @@ fn main() {
     let gy = Tensor::randn(y.shape(), &mut rng);
     let px = Tensor::randn(&[8, 16, 28, 28], &mut rng);
     let ex = Tensor::randn(&[1, 200_000], &mut rng);
+    let small_a = Tensor::randn(&[192, 4], &mut rng);
+    let small_b = Tensor::randn(&[4, 12], &mut rng);
 
     let mut cases = vec![
         Case {
@@ -102,6 +127,12 @@ fn main() {
             iters: 20,
             run: Box::new(move || ex.map(|v| v.tanh()).into_vec()),
         },
+        Case {
+            name: "suite_small_gemm",
+            samples: 15,
+            iters: 2000,
+            run: Box::new(move || matmul(&small_a, &small_b).into_vec()),
+        },
     ];
 
     let threads = sweep();
@@ -136,6 +167,26 @@ fn main() {
                 ns,
                 serial_ns / ns,
                 if identical { "ok" } else { "DIVERGED" }
+            );
+        }
+    }
+    let empty_region = || {
+        aibench_parallel::parallel_for(2, 1, |range| {
+            black_box(range);
+        })
+    };
+    for &t in &threads {
+        ParallelConfig::with_threads(t).install();
+        for (gap, ns) in [
+            ("back to back", median_ns(15, 1000, empty_region)),
+            (
+                "after 1 ms idle",
+                median_ns_after_idle(31, Duration::from_millis(1), empty_region),
+            ),
+        ] {
+            println!(
+                "{:<24} {:>7} {:>14.0}  {gap}",
+                "dispatch_empty_region", t, ns
             );
         }
     }

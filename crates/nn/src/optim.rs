@@ -5,6 +5,7 @@
 //! `aibench-parallel`) with results independent of the thread count.
 
 use aibench_autograd::Param;
+use aibench_parallel::parallel_slice_mut_weighted;
 use aibench_tensor::Tensor;
 
 /// A first-order optimizer over a fixed parameter list.
@@ -168,13 +169,15 @@ impl Optimizer for Adam {
             let b2 = self.beta2;
             // Each moment update is independent per element, so the chunked
             // parallel loops below are thread-count invariant.
-            aibench_parallel::parallel_slice_mut(m.data_mut(), chunk, |range, mc| {
+            // Work estimate of one sweep over this many arrays of `g`'s size.
+            let sweep = |arrays: usize| (g.len() * arrays) as u64;
+            parallel_slice_mut_weighted(m.data_mut(), chunk, sweep(3), |range, mc| {
                 aibench_parallel::effects::read(g.data(), range.clone());
                 for (mi, &gi) in mc.iter_mut().zip(&g.data()[range]) {
                     *mi = b1 * *mi + (1.0 - b1) * gi;
                 }
             });
-            aibench_parallel::parallel_slice_mut(v.data_mut(), chunk, |range, vc| {
+            parallel_slice_mut_weighted(v.data_mut(), chunk, sweep(3), |range, vc| {
                 aibench_parallel::effects::read(g.data(), range.clone());
                 for (vi, &gi) in vc.iter_mut().zip(&g.data()[range]) {
                     *vi = b2 * *vi + (1.0 - b2) * gi * gi;
@@ -182,7 +185,7 @@ impl Optimizer for Adam {
             });
             let (lr, eps) = (self.lr, self.eps);
             let mut val = p.value_mut();
-            aibench_parallel::parallel_slice_mut(val.data_mut(), chunk, |range, xc| {
+            parallel_slice_mut_weighted(val.data_mut(), chunk, sweep(4), |range, xc| {
                 aibench_parallel::effects::read(m.data(), range.clone());
                 aibench_parallel::effects::read(v.data(), range.clone());
                 for ((xi, &mi), &vi) in xc
@@ -248,7 +251,8 @@ impl Optimizer for RmsProp {
         for (p, s) in self.params.iter().zip(&mut self.sq) {
             let g = p.grad().clone();
             let a = self.alpha;
-            aibench_parallel::parallel_slice_mut(s.data_mut(), chunk, |range, sc| {
+            let sweep = |arrays: usize| (g.len() * arrays) as u64;
+            parallel_slice_mut_weighted(s.data_mut(), chunk, sweep(3), |range, sc| {
                 aibench_parallel::effects::read(g.data(), range.clone());
                 for (si, &gi) in sc.iter_mut().zip(&g.data()[range]) {
                     *si = a * *si + (1.0 - a) * gi * gi;
@@ -256,7 +260,7 @@ impl Optimizer for RmsProp {
             });
             let (lr, eps) = (self.lr, self.eps);
             let mut val = p.value_mut();
-            aibench_parallel::parallel_slice_mut(val.data_mut(), chunk, |range, xc| {
+            parallel_slice_mut_weighted(val.data_mut(), chunk, sweep(4), |range, xc| {
                 aibench_parallel::effects::read(s.data(), range.clone());
                 aibench_parallel::effects::read(g.data(), range.clone());
                 for ((xi, &si), &gi) in xc

@@ -107,6 +107,12 @@ pub struct RegionEffects {
     pub chunk: usize,
     /// Configured thread count when the region ran.
     pub threads: usize,
+    /// Whether the region's shape engages the pool: at least two chunks
+    /// and, where the kernel estimated its work, enough of it to amortise
+    /// a hand-off. A function of the shape alone, so — like the chunk
+    /// boundaries — it must not differ between thread counts; whether the
+    /// region *ran* on the pool also depends on the pool and on nesting.
+    pub engages: bool,
     /// Every access declared by the region's chunks, in recording order.
     pub accesses: Vec<Access>,
     /// RNG draws made from inside this region's chunks — any value above
@@ -221,6 +227,7 @@ mod imp {
         n: usize,
         chunk: usize,
         threads: usize,
+        engages: bool,
     ) -> Option<usize> {
         if !recording() {
             return None;
@@ -239,6 +246,7 @@ mod imp {
             n,
             chunk,
             threads,
+            engages,
             accesses: Vec::new(),
             rng_draws: 0,
         });
@@ -369,6 +377,7 @@ mod imp {
         _n: usize,
         _chunk: usize,
         _threads: usize,
+        _engages: bool,
     ) -> Option<usize> {
         None
     }
@@ -408,10 +417,9 @@ pub(crate) use imp::{in_chunk, open_region, record_write_raw};
 mod tests {
     use super::*;
     use crate::{parallel_reduce, parallel_slice_mut, set_threads};
-    use std::sync::Mutex;
-
-    /// Recording is process-global; serialize the tests that use it.
-    static LOCK: Mutex<()> = Mutex::new(());
+    // Recording is process-global and captures every region in the
+    // process, so these serialize with the crate-root tests too.
+    use crate::tests::LOCK;
 
     fn recorded<R>(threads: usize, f: impl FnOnce() -> R) -> (R, EffectReport) {
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());

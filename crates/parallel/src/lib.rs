@@ -12,11 +12,21 @@
 //! *benchmark*, not the host's scheduler).
 //!
 //! The worker pool is persistent: threads are spawned once (lazily, from
-//! `AIBENCH_THREADS` or the machine's available parallelism) and parked
-//! between regions, so per-region overhead is a broadcast wake-up rather
-//! than thread creation. The calling thread always participates, so a
-//! one-thread configuration executes entirely inline with zero
-//! synchronization.
+//! `AIBENCH_THREADS` or the machine's available parallelism). Between
+//! regions a worker polls for the next job for some tens of microseconds
+//! and only then parks, so the per-region overhead of back-to-back regions
+//! is one atomic publish and one atomic join — a microsecond or two — and
+//! a wake-up is paid only after a real pause. A pool with more threads
+//! than the machine has cores parks at once instead. The calling thread
+//! always participates, so a one-thread configuration executes entirely
+//! inline with zero synchronization.
+//!
+//! A region that is too small to repay even that hand-off runs inline on
+//! the calling thread: kernels pass an estimate of their work
+//! ([`parallel_slice_mut_weighted`], [`parallel_reduce_weighted`]) and a
+//! fixed cut-off decides, from the problem's shape alone, so the route a
+//! region takes — like its chunk boundaries — is the same at every thread
+//! count.
 //!
 //! # Example
 //!
@@ -50,8 +60,8 @@ pub mod effects;
 mod pool;
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 pub use pool::{default_threads, in_parallel_region, ThreadPool};
 
@@ -177,6 +187,115 @@ pub fn stats() -> PoolStats {
     }
 }
 
+/// Smallest work estimate (see [`parallel_slice_mut_weighted`]) that engages
+/// the pool. The kernels sustain roughly 16 flops, or values moved, per
+/// nanosecond on one core, so this is a region of about 15 µs. A hand-off
+/// to a worker that is still polling costs 1–2 µs plus the cache lines it
+/// pulls from the caller's core, and one to a parked worker a ~10 µs
+/// wake-up that brings no help at all to a region this short; below the
+/// cut-off, regions of the suite measured no faster, or slower, on two
+/// threads than inline.
+///
+/// Like [`REDUCE_CHUNK`] this is part of the determinism contract in one
+/// respect only: the engage/inline decision must be a pure function of the
+/// problem shape, so it is a constant — never a setting, an environment
+/// variable or a function of the thread count. Chunk boundaries and fold
+/// order are the same on both routes, so its value cannot change a result.
+const MIN_REGION_WORK: u64 = 256 * 1024;
+
+/// Whether a region of this shape is handed to the pool (when there is one
+/// to hand it to): it needs two chunks to split at all, and, where the
+/// kernel gave an estimate, enough work to amortise the hand-off.
+fn engages(nchunks: usize, work: Option<u64>) -> bool {
+    nchunks >= 2 && work.is_none_or(|w| w >= MIN_REGION_WORK)
+}
+
+/// One parallel region over `0..n` in fixed `chunk`-sized pieces.
+struct Region {
+    pool: Arc<ThreadPool>,
+    /// The region's effect record, when a recording is on.
+    record: Option<usize>,
+    n: usize,
+    chunk: usize,
+    nchunks: usize,
+    /// Run on the pool rather than inline: the shape [`engages`], the pool
+    /// has workers, and this thread is not inside a region already.
+    on_pool: bool,
+}
+
+impl Region {
+    /// Opens the region, or returns `None` when there is nothing to do.
+    /// `chunk` is clamped to at least 1.
+    fn open(primitive: &'static str, n: usize, chunk: usize, work: Option<u64>) -> Option<Region> {
+        if n == 0 {
+            return None;
+        }
+        let chunk = chunk.max(1);
+        let nchunks = n.div_ceil(chunk);
+        let engages = engages(nchunks, work);
+        let pool = pool::global_pool();
+        let record = effects::open_region(primitive, n, chunk, pool.threads(), engages);
+        let on_pool = engages && pool.threads() > 1 && !in_parallel_region();
+        Some(Region {
+            pool,
+            record,
+            n,
+            chunk,
+            nchunks,
+            on_pool,
+        })
+    }
+
+    /// Runs `f` on the index range of chunk `c`, on this thread.
+    fn run_chunk<R>(&self, c: usize, f: impl FnOnce(Range<usize>) -> R) -> R {
+        let range = c * self.chunk..((c + 1) * self.chunk).min(self.n);
+        effects::in_chunk(&self.record, c, || f(range))
+    }
+
+    /// Runs `f(chunk_index, index_range)` once per chunk: the participants
+    /// of the pool claim chunks dynamically, or this thread runs them in
+    /// ascending order.
+    fn run(&self, f: impl Fn(usize, Range<usize>) + Sync) {
+        if !self.on_pool {
+            for c in 0..self.nchunks {
+                self.run_chunk(c, |range| f(c, range));
+            }
+            return;
+        }
+        let counters = &self.pool.counters;
+        counters.regions.fetch_add(1, Ordering::Relaxed);
+        let next = AtomicUsize::new(0);
+        self.pool.broadcast(&|who| {
+            // One shared-counter update per participant, also on unwind.
+            let mut tally = Tally {
+                counter: &counters.per_worker[who],
+                completed: 0,
+            };
+            loop {
+                let c = next.fetch_add(1, Ordering::Relaxed);
+                if c >= self.nchunks {
+                    break;
+                }
+                self.run_chunk(c, |range| f(c, range));
+                tally.completed += 1;
+            }
+        });
+    }
+}
+
+/// Chunks one participant completed in one region, added to its counter on
+/// drop.
+struct Tally<'a> {
+    counter: &'a AtomicU64,
+    completed: u64,
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        self.counter.fetch_add(self.completed, Ordering::Relaxed);
+    }
+}
+
 /// Splits `0..n` into `ceil(n / chunk)` fixed chunks and calls
 /// `f(chunk_index, index_range)` once per chunk. Chunk boundaries depend
 /// only on `n` and `chunk`, never on the thread count; chunks are claimed
@@ -186,48 +305,17 @@ pub fn stats() -> PoolStats {
 ///
 /// `chunk` is clamped to at least 1.
 pub fn for_each_chunk(n: usize, chunk: usize, f: impl Fn(usize, Range<usize>) + Sync) {
-    for_each_chunk_tagged("for_each_chunk", n, chunk, f)
-}
-
-/// [`for_each_chunk`] with the opening primitive's name recorded in the
-/// region's effect descriptor (only meaningful under the `sanitize`
-/// feature; see [`effects`]).
-fn for_each_chunk_tagged(
-    primitive: &'static str,
-    n: usize,
-    chunk: usize,
-    f: impl Fn(usize, Range<usize>) + Sync,
-) {
-    let chunk = chunk.max(1);
-    let nchunks = n.div_ceil(chunk);
-    if nchunks == 0 {
-        return;
+    if let Some(region) = Region::open("for_each_chunk", n, chunk, None) {
+        region.run(f);
     }
-    let range_of = |c: usize| c * chunk..((c + 1) * chunk).min(n);
-    let pool = pool::global_pool();
-    let region = effects::open_region(primitive, n, chunk, pool.threads());
-    if nchunks == 1 || pool.threads() == 1 || in_parallel_region() {
-        for c in 0..nchunks {
-            effects::in_chunk(&region, c, || f(c, range_of(c)));
-        }
-        return;
-    }
-    pool.counters.regions.fetch_add(1, Ordering::Relaxed);
-    let next = AtomicUsize::new(0);
-    pool.broadcast(&|who| loop {
-        let c = next.fetch_add(1, Ordering::Relaxed);
-        if c >= nchunks {
-            break;
-        }
-        effects::in_chunk(&region, c, || f(c, range_of(c)));
-        pool.counters.per_worker[who].fetch_add(1, Ordering::Relaxed);
-    });
 }
 
 /// [`for_each_chunk`] without the chunk index: calls `f` on disjoint
 /// subranges of `0..n` covering it exactly once.
 pub fn parallel_for(n: usize, chunk: usize, f: impl Fn(Range<usize>) + Sync) {
-    for_each_chunk_tagged("parallel_for", n, chunk, |_, range| f(range));
+    if let Some(region) = Region::open("parallel_for", n, chunk, None) {
+        region.run(|_, range| f(range));
+    }
 }
 
 /// Splits `data` into fixed `chunk`-sized pieces and calls
@@ -235,26 +323,59 @@ pub fn parallel_for(n: usize, chunk: usize, f: impl Fn(Range<usize>) + Sync) {
 /// absolute element indices of the piece, so `f` can read aligned slices of
 /// other inputs. Writes are disjoint by construction, so results never
 /// depend on the thread count.
+///
+/// Two or more pieces always engage the pool; a kernel that knows how much
+/// work its pieces hold calls [`parallel_slice_mut_weighted`] instead.
 pub fn parallel_slice_mut<T: Send>(
     data: &mut [T],
     chunk: usize,
     f: impl Fn(Range<usize>, &mut [T]) + Sync,
 ) {
-    let len = data.len();
+    slice_mut_region(data, chunk, None, f)
+}
+
+/// [`parallel_slice_mut`] for a kernel that can estimate its work.
+///
+/// `work` is the region's total cost in floating-point operations or in
+/// `f32`-sized values moved (a core sustains about as many of one as of the
+/// other), whichever describes the kernel, *including* whatever nested
+/// regions its pieces open (a convolution counts its per-sample GEMMs). A
+/// region whose work cannot amortise one hand-off to the pool runs inline
+/// on the calling thread, over the same pieces in ascending order. The
+/// cut-off is a crate constant and `work` must be computed from the
+/// problem's shape alone, so which route a region takes — like where its
+/// chunk boundaries fall — is the same at every thread count.
+pub fn parallel_slice_mut_weighted<T: Send>(
+    data: &mut [T],
+    chunk: usize,
+    work: u64,
+    f: impl Fn(Range<usize>, &mut [T]) + Sync,
+) {
+    slice_mut_region(data, chunk, Some(work), f)
+}
+
+fn slice_mut_region<T: Send>(
+    data: &mut [T],
+    chunk: usize,
+    work: Option<u64>,
+    f: impl Fn(Range<usize>, &mut [T]) + Sync,
+) {
+    let Some(region) = Region::open("parallel_slice_mut", data.len(), chunk, work) else {
+        return;
+    };
     let addr = data.as_ptr() as usize;
     let base = SendPtr(data.as_mut_ptr());
     // Capture the `Sync` wrapper, not the raw pointer field (2021 edition
     // closures capture disjoint fields by default).
     let base = &base;
-    for_each_chunk_tagged("parallel_slice_mut", len, chunk, move |_, range| {
+    region.run(move |_, range| {
         // The piece handed to `f` is written by this chunk exclusively;
         // record that fact so the audit layer sees it without every caller
         // having to declare the obvious.
         effects::record_write_raw(addr, range.clone());
-        // SAFETY: `for_each_chunk_tagged` hands out disjoint subranges of
-        // `0..len`, each claimed by exactly one thread, so the
-        // reconstructed slices never alias; the borrow of `data` outlives
-        // the region.
+        // SAFETY: `Region::run` hands out disjoint subranges of `0..len`,
+        // each claimed by exactly one thread, so the reconstructed slices
+        // never alias; the borrow of `data` outlives the region.
         #[allow(unsafe_code)]
         let piece = unsafe { std::slice::from_raw_parts_mut(base.0.add(range.start), range.len()) };
         f(range, piece);
@@ -264,10 +385,10 @@ pub fn parallel_slice_mut<T: Send>(
 /// A raw pointer that may cross thread boundaries. The primitives using it
 /// guarantee disjoint access per thread.
 struct SendPtr<T>(*mut T);
-// SAFETY: `SendPtr` is only ever used by `parallel_slice_mut`, which hands
-// each thread a disjoint element range of the pointee; no two threads touch
-// the same element, and the exclusive borrow it was created from pins the
-// allocation for the whole region.
+// SAFETY: `SendPtr` is only ever used by `slice_mut_region` and
+// `reduce_region`, which hand each thread a disjoint element range of the
+// pointee; no two threads touch the same element, and the exclusive borrow
+// it was created from pins the allocation for the whole region.
 #[allow(unsafe_code)]
 unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: see the `Send` impl above — shared references to the wrapper only
@@ -319,43 +440,69 @@ pub fn parallel_reduce<T: Send>(
     chunk: usize,
     init: impl FnOnce() -> T,
     map: impl Fn(Range<usize>) -> T + Sync,
+    fold: impl FnMut(T, T) -> T,
+) -> T {
+    reduce_region("parallel_reduce", n, chunk, None, init, map, fold)
+}
+
+/// [`parallel_reduce`] for a kernel that can estimate its work; `work` and
+/// the rule it feeds are those of [`parallel_slice_mut_weighted`]. Both
+/// routes fold the same partials in the same order.
+pub fn parallel_reduce_weighted<T: Send>(
+    n: usize,
+    chunk: usize,
+    work: u64,
+    init: impl FnOnce() -> T,
+    map: impl Fn(Range<usize>) -> T + Sync,
+    fold: impl FnMut(T, T) -> T,
+) -> T {
+    reduce_region("parallel_reduce", n, chunk, Some(work), init, map, fold)
+}
+
+/// The region behind [`parallel_reduce`] and [`parallel_map`]: one partial
+/// per chunk, folded into `init()` in ascending chunk order.
+fn reduce_region<T: Send>(
+    primitive: &'static str,
+    n: usize,
+    chunk: usize,
+    work: Option<u64>,
+    init: impl FnOnce() -> T,
+    map: impl Fn(Range<usize>) -> T + Sync,
     mut fold: impl FnMut(T, T) -> T,
 ) -> T {
-    let chunk = chunk.max(1);
-    let nchunks = n.div_ceil(chunk);
-    let range_of = |c: usize| c * chunk..((c + 1) * chunk).min(n);
     let mut acc = init();
-    if nchunks == 0 {
+    let Some(region) = Region::open(primitive, n, chunk, work) else {
         return acc;
-    }
-    let pool = pool::global_pool();
-    let region = effects::open_region("parallel_reduce", n, chunk, pool.threads());
-    if nchunks == 1 || pool.threads() == 1 || in_parallel_region() {
-        for c in 0..nchunks {
-            let part = effects::in_chunk(&region, c, || map(range_of(c)));
-            acc = fold(acc, part);
+    };
+    if !region.on_pool {
+        // Nothing to buffer: fold each partial as it is produced.
+        for c in 0..region.nchunks {
+            acc = fold(acc, region.run_chunk(c, &map));
         }
         return acc;
     }
-    pool.counters.regions.fetch_add(1, Ordering::Relaxed);
-    let partials: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(nchunks));
-    let next = AtomicUsize::new(0);
-    pool.broadcast(&|who| loop {
-        let c = next.fetch_add(1, Ordering::Relaxed);
-        if c >= nchunks {
-            break;
+    // Each participant writes the slot of the chunk it claimed, so finishing
+    // order leaves no trace and nothing is shared between chunks.
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(region.nchunks, || None);
+    let base = SendPtr(slots.as_mut_ptr());
+    let base = &base;
+    region.run(move |c, range| {
+        let part = map(range);
+        // SAFETY: `c < nchunks == slots.len()`, and `Region::run` hands
+        // each chunk index to exactly one thread, so no two threads write
+        // one slot; `slots` is not touched otherwise until `run` has
+        // joined every participant.
+        #[allow(unsafe_code)]
+        unsafe {
+            *base.0.add(c) = Some(part);
         }
-        let part = effects::in_chunk(&region, c, || map(range_of(c)));
-        partials
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((c, part));
-        pool.counters.per_worker[who].fetch_add(1, Ordering::Relaxed);
     });
-    let mut partials = partials.into_inner().unwrap_or_else(|e| e.into_inner());
-    partials.sort_by_key(|&(c, _)| c); // restore deterministic fold order
-    for (_, part) in partials {
-        acc = fold(acc, part);
+    for slot in slots {
+        acc = fold(
+            acc,
+            slot.expect("a region that returns has run every chunk"),
+        );
     }
     acc
 }
@@ -366,21 +513,18 @@ pub fn parallel_reduce<T: Send>(
 /// the output order (and therefore any downstream order-sensitive
 /// aggregation) is independent of the thread count.
 pub fn parallel_map<T: Send>(n: usize, chunk: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let pieces: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
-    for_each_chunk_tagged("parallel_map", n, chunk, |c, range| {
-        let part: Vec<T> = range.map(&f).collect();
-        pieces
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((c, part));
-    });
-    let mut pieces = pieces.into_inner().unwrap_or_else(|e| e.into_inner());
-    pieces.sort_by_key(|&(c, _)| c); // reassemble in index order
-    let mut out = Vec::with_capacity(n);
-    for (_, part) in pieces {
-        out.extend(part);
-    }
-    out
+    reduce_region(
+        "parallel_map",
+        n,
+        chunk,
+        None,
+        || Vec::with_capacity(n),
+        |range| range.map(&f).collect(),
+        |mut out, piece: Vec<T>| {
+            out.extend(piece);
+            out
+        },
+    )
 }
 
 /// Canonical fixed chunk size (elements) for order-stable scalar
@@ -467,9 +611,10 @@ pub fn lane_sum_map_f32(data: &[f32], f: impl Fn(f32) -> f32) -> f32 {
 /// par::set_threads(1);
 /// ```
 pub fn sum_f32(data: &[f32]) -> f32 {
-    parallel_reduce(
+    parallel_reduce_weighted(
         data.len(),
         REDUCE_CHUNK,
+        data.len() as u64,
         || 0.0f32,
         |range| {
             effects::read(data, range.clone());
@@ -483,9 +628,10 @@ pub fn sum_f32(data: &[f32]) -> f32 {
 /// lane-blocked like [`sum_f32`]); used for squared norms and similar
 /// scalar reductions.
 pub fn sum_map_f32(data: &[f32], f: impl Fn(f32) -> f32 + Sync) -> f32 {
-    parallel_reduce(
+    parallel_reduce_weighted(
         data.len(),
         REDUCE_CHUNK,
+        data.len() as u64,
         || 0.0f32,
         |range| {
             effects::read(data, range.clone());
@@ -498,10 +644,11 @@ pub fn sum_map_f32(data: &[f32], f: impl Fn(f32) -> f32 + Sync) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::Mutex;
 
-    /// Tests mutate the global pool; serialize them.
-    static LOCK: Mutex<()> = Mutex::new(());
+    /// Tests mutate the global pool (and, in [`effects`], the global
+    /// recorder, which sees every region in the process); serialize them.
+    pub(crate) static LOCK: Mutex<()> = Mutex::new(());
 
     fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -685,6 +832,112 @@ mod tests {
             assert_eq!(d.regions, 1);
             assert_eq!(d.chunks(), 1000);
             assert!(d.imbalance() >= 0.5 / d.threads as f64 && d.imbalance() <= 1.0);
+        });
+    }
+
+    #[test]
+    fn stats_stay_exact_when_a_chunk_panics() {
+        with_threads(2, || {
+            let before = stats();
+            let completed = AtomicU64::new(0);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                parallel_for(64, 1, |r| {
+                    if r.start == 40 {
+                        panic!("boom from chunk 40");
+                    }
+                    completed.fetch_add(1, Ordering::Relaxed);
+                });
+            }));
+            assert!(result.is_err());
+            // Completed chunks are what the counters hold, also for the
+            // participant that unwound. A worker that is in the region runs
+            // whatever is left; if the caller unwinds before the worker has
+            // entered, the region closes and chunks 41.. never run.
+            let completed = completed.load(Ordering::Relaxed);
+            assert!(matches!(completed, 40 | 63), "{completed} completed");
+            assert_eq!(stats().delta(&before).chunks(), completed);
+        });
+    }
+
+    #[test]
+    fn weighted_regions_engage_by_work_and_unweighted_ones_by_chunk_count() {
+        /// Pool regions opened by one two-chunk `parallel_slice_mut` call.
+        fn regions(threads: usize, work: Option<u64>) -> u64 {
+            with_threads(threads, || {
+                let mut data = [0u8; 2];
+                let before = stats();
+                match work {
+                    Some(w) => parallel_slice_mut_weighted(&mut data, 1, w, |_, d| d[0] = 1),
+                    None => parallel_slice_mut(&mut data, 1, |_, d| d[0] = 1),
+                }
+                assert_eq!(data, [1, 1]);
+                stats().delta(&before).regions
+            })
+        }
+        for threads in [2, 3, 8] {
+            assert_eq!(regions(threads, Some(MIN_REGION_WORK - 1)), 0);
+            assert_eq!(regions(threads, Some(MIN_REGION_WORK)), 1);
+            assert_eq!(regions(threads, None), 1);
+        }
+        // A one-thread pool has nobody to engage, whatever the work.
+        assert_eq!(regions(1, Some(u64::MAX)), 0);
+        assert!(engages(2, Some(MIN_REGION_WORK)) && !engages(1, Some(u64::MAX)));
+    }
+
+    #[test]
+    fn reduce_folds_owned_partials_in_chunk_order_on_both_routes() {
+        let concat = |work: u64| {
+            parallel_reduce_weighted(
+                50,
+                7,
+                work,
+                String::new,
+                |range| format!("{}-{};", range.start, range.end),
+                |acc, part| acc + &part,
+            )
+        };
+        let serial = with_threads(1, || concat(u64::MAX));
+        assert!(serial.starts_with("0-7;7-14;") && serial.ends_with("49-50;"));
+        for threads in [2, 3, 8] {
+            assert_eq!(with_threads(threads, || concat(u64::MAX)), serial);
+            assert_eq!(with_threads(threads, || concat(0)), serial);
+        }
+    }
+
+    #[test]
+    fn a_panicking_reduce_chunk_drops_the_finished_partials() {
+        struct Counted<'a>(&'a AtomicUsize);
+        impl Drop for Counted<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        with_threads(2, || {
+            let (made, dropped) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                parallel_reduce(
+                    16,
+                    1,
+                    Vec::new,
+                    |range| {
+                        if range.start == 9 {
+                            panic!("boom from chunk 9");
+                        }
+                        made.fetch_add(1, Ordering::Relaxed);
+                        vec![Counted(&dropped)]
+                    },
+                    |mut acc, part| {
+                        acc.extend(part);
+                        acc
+                    },
+                );
+            }));
+            assert!(result.is_err());
+            // All the others, or chunks 0..9 alone if the caller unwound
+            // before the worker had entered the region.
+            let made = made.load(Ordering::Relaxed);
+            assert!(matches!(made, 9 | 15), "{made} partials made");
+            assert_eq!(dropped.load(Ordering::Relaxed), made);
         });
     }
 

@@ -13,6 +13,10 @@ use crate::Tensor;
 /// (~10-1000 floats) stays around the elementwise chunk grain.
 const ROW_BLOCK: usize = 64;
 
+/// Work estimate per element, in floating-point operations: a max, a
+/// subtract, an `exp` (a few dozen on its own), an add and a scale.
+const FLOPS_PER_ELEMENT: usize = 32;
+
 /// Softmax over the last axis, numerically stabilized by row-max
 /// subtraction.
 ///
@@ -33,9 +37,10 @@ pub fn softmax_last(x: &Tensor) -> Tensor {
     let data = x.data();
     let mut out = Tensor::zeros(x.shape());
     let _scope = effects::kernel_scope("softmax");
-    aibench_parallel::parallel_slice_mut(
+    aibench_parallel::parallel_slice_mut_weighted(
         out.data_mut(),
         ROW_BLOCK * inner.max(1),
+        (x.len() * FLOPS_PER_ELEMENT) as u64,
         |range, block| {
             effects::read(data, range.clone());
             for (row, dst) in data[range]
@@ -70,9 +75,10 @@ pub fn log_softmax_last(x: &Tensor) -> Tensor {
     let data = x.data();
     let mut out = Tensor::zeros(x.shape());
     let _scope = effects::kernel_scope("log_softmax");
-    aibench_parallel::parallel_slice_mut(
+    aibench_parallel::parallel_slice_mut_weighted(
         out.data_mut(),
         ROW_BLOCK * inner.max(1),
+        (x.len() * FLOPS_PER_ELEMENT) as u64,
         |range, block| {
             effects::read(data, range.clone());
             for (row, dst) in data[range]

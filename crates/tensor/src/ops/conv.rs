@@ -14,7 +14,7 @@
 
 use aibench_parallel::effects;
 
-use super::microkernel::gemm_into;
+use super::microkernel::{gemm_flops, gemm_into};
 use crate::Tensor;
 
 /// How [`conv2d`] lowers a given geometry.
@@ -213,7 +213,9 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, args: Conv2dArgs) -> Tensor {
     let _scope = effects::kernel_scope("conv2d_fwd");
     // One sample per chunk; each sample's lowering writes a disjoint
     // output block. The algorithm is fixed per geometry (see [`ConvAlgo`]).
-    aibench_parallel::parallel_slice_mut(&mut out, co * cols, |range, out_s| {
+    // Every algorithm does the lowered GEMM's multiply-adds per sample.
+    let work = n as u64 * gemm_flops(co, kdim, cols);
+    aibench_parallel::parallel_slice_mut_weighted(&mut out, co * cols, work, |range, out_s| {
         let s = range.start / (co * cols).max(1);
         effects::read(input.data(), s * c * h * w..(s + 1) * c * h * w);
         let x = &input.data()[s * c * h * w..(s + 1) * c * h * w];
@@ -336,7 +338,8 @@ pub fn conv2d_backward_input(
     let _scope = effects::kernel_scope("conv2d_bwd_input");
     // One sample per chunk with a thread-local column buffer; each sample
     // folds into a disjoint input-gradient block.
-    aibench_parallel::parallel_slice_mut(&mut out, ci * h * w, |range, out_s| {
+    let work = n as u64 * gemm_flops(kdim, co, cols);
+    aibench_parallel::parallel_slice_mut_weighted(&mut out, ci * h * w, work, |range, out_s| {
         let s = range.start / (ci * h * w).max(1);
         effects::read(grad_output.data(), s * co * cols..(s + 1) * co * cols);
         let g = &grad_output.data()[s * co * cols..(s + 1) * co * cols];
@@ -392,9 +395,10 @@ pub fn conv2d_backward_weight(
     // (one sample per chunk, partials folded in sample order) keeps the
     // result identical for every thread count, including serial runs.
     let _scope = effects::kernel_scope("conv2d_bwd_weight");
-    let gw = aibench_parallel::parallel_reduce(
+    let gw = aibench_parallel::parallel_reduce_weighted(
         n,
         1,
+        n as u64 * gemm_flops(co, cols, kdim),
         || vec![0.0f32; co * kdim],
         |range| {
             let s = range.start;

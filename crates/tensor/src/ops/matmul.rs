@@ -9,7 +9,7 @@
 
 use aibench_parallel::effects;
 
-use super::microkernel::gemm_into;
+use super::microkernel::{gemm_flops, gemm_into};
 use crate::Tensor;
 
 /// Matrix product of two 2-D tensors: `[m, k] x [k, n] -> [m, n]`.
@@ -73,7 +73,8 @@ pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; ba * m * n];
     let _scope = effects::kernel_scope("batch_matmul");
     // One batch entry per chunk; every entry's GEMM is independent.
-    aibench_parallel::parallel_slice_mut(&mut out, m * n, |range, out_i| {
+    let work = ba as u64 * gemm_flops(m, k, n);
+    aibench_parallel::parallel_slice_mut_weighted(&mut out, m * n, work, |range, out_i| {
         let i = range.start / (m * n).max(1);
         effects::read(a.data(), i * m * k..(i + 1) * m * k);
         effects::read(b.data(), i * k * n..(i + 1) * k * n);

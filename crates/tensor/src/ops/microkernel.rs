@@ -111,6 +111,14 @@ pub fn gemm_path() -> GemmPath {
     }
 }
 
+/// Floating-point operations of one `[m,k] x [k,n]` product: the work
+/// estimate every GEMM-lowered kernel hands the pool (a multiply and an add
+/// per term). A function of the shape alone, as the engagement rule of
+/// [`aibench_parallel::parallel_slice_mut_weighted`] requires.
+pub(crate) fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
+    2 * (m * k * n) as u64
+}
+
 /// `out += a[m,k] * b[k,n]` over pre-zeroed (or pre-accumulated) `out`.
 ///
 /// Dispatches per [`gemm_path`]: the packed microkernel for large shapes,
@@ -142,7 +150,8 @@ const TILE: usize = 32;
 pub(crate) fn gemm_tiled(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     let _scope = effects::kernel_scope("gemm");
-    aibench_parallel::parallel_slice_mut(out, TILE * n, |rows, out_block| {
+    let work = gemm_flops(m, k, n);
+    aibench_parallel::parallel_slice_mut_weighted(out, TILE * n, work, |rows, out_block| {
         debug_assert_eq!(rows.start % n.max(1), 0);
         let i_lo = rows.start / n.max(1);
         let i_hi = rows.end / n.max(1);
@@ -202,7 +211,8 @@ fn gemm_small(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
     debug_assert_eq!(out.len(), m * n);
     let tail = pack_tail(b, k, n);
     let _scope = effects::kernel_scope("gemm");
-    aibench_parallel::parallel_slice_mut(out, TILE * n.max(1), |rows, out_block| {
+    let work = gemm_flops(m, k, n);
+    aibench_parallel::parallel_slice_mut_weighted(out, TILE * n.max(1), work, |rows, out_block| {
         debug_assert_eq!(rows.start % n.max(1), 0);
         let i_lo = rows.start / n.max(1);
         let i_hi = rows.end / n.max(1);
@@ -386,7 +396,8 @@ fn gemm_packed(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
     debug_assert_eq!(out.len(), m * n);
     let bp = pack_b(b, k, n);
     let _scope = effects::kernel_scope("gemm");
-    aibench_parallel::parallel_slice_mut(out, MC * n, |rows, out_block| {
+    let work = gemm_flops(m, k, n);
+    aibench_parallel::parallel_slice_mut_weighted(out, MC * n, work, |rows, out_block| {
         debug_assert_eq!(rows.start % n, 0);
         let i_lo = rows.start / n;
         let i_hi = rows.end / n;
@@ -419,7 +430,9 @@ fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
         let panel = &mut bp[panel_base..panel_base + lp * strips * NR];
         // One strip per chunk: each strip is written by exactly one thread
         // and reads its own column band of `b`.
-        aibench_parallel::parallel_slice_mut(panel, lp * NR, |range, strip| {
+        // Every element of the panel is read once and written once.
+        let work = (panel.len() * 2) as u64;
+        aibench_parallel::parallel_slice_mut_weighted(panel, lp * NR, work, |range, strip| {
             let s = range.start / (lp * NR);
             let j0 = s * NR;
             effects::read(b, kc0 * n..(kc0 + lp) * n);

@@ -5,9 +5,15 @@
 //! serial loop order, so results are bitwise identical for every
 //! `AIBENCH_THREADS` value.
 
-use aibench_parallel::effects;
+use aibench_parallel::{effects, parallel_slice_mut_weighted};
 
 use crate::Tensor;
+
+/// Work estimate of a pooling pass over `outputs` windows of `k`x`k` taps:
+/// one load and one compare or add per tap.
+fn window_taps(outputs: usize, k: usize) -> u64 {
+    (outputs * k * k) as u64
+}
 
 /// Max-pools `[n, c, h, w]` with a `k`×`k` window and stride `stride`.
 ///
@@ -41,7 +47,8 @@ pub fn max_pool2d(input: &Tensor, k: usize, stride: usize) -> (Tensor, Vec<usize
     let _scope = effects::kernel_scope("max_pool2d");
     // Pass 1: the winning input index per output element, plane-parallel.
     let mut winners = vec![0usize; n * c * plane_out];
-    aibench_parallel::parallel_slice_mut(&mut winners, plane_out, |range, win_plane| {
+    let work = window_taps(winners.len(), k);
+    parallel_slice_mut_weighted(&mut winners, plane_out, work, |range, win_plane| {
         let plane = range.start / plane_out.max(1);
         let base = plane * h * w;
         effects::read(in_data, base..base + h * w);
@@ -66,9 +73,12 @@ pub fn max_pool2d(input: &Tensor, k: usize, stride: usize) -> (Tensor, Vec<usize
     });
     // Pass 2: gather the winning values.
     let mut out = Tensor::zeros(&[n, c, ho, wo]);
-    aibench_parallel::parallel_slice_mut(
+    // Per element: a winner index and a value read, a value written.
+    let work = (winners.len() * 3) as u64;
+    parallel_slice_mut_weighted(
         out.data_mut(),
         aibench_parallel::ELEMWISE_CHUNK,
+        work,
         |range, out_chunk| {
             effects::read(&winners, range.clone());
             for (o, &idx) in out_chunk.iter_mut().zip(&winners[range]) {
@@ -101,7 +111,10 @@ pub fn max_pool2d_backward(
     let go = grad_output.data();
     let mut gx = Tensor::zeros(input_shape);
     let _scope = effects::kernel_scope("max_pool2d_bwd");
-    aibench_parallel::parallel_slice_mut(gx.data_mut(), plane_in, |range, gx_plane| {
+    // Per output element: a gradient and a winner index read, one input
+    // gradient read and written.
+    let work = (go.len() * 4) as u64;
+    parallel_slice_mut_weighted(gx.data_mut(), plane_in, work, |range, gx_plane| {
         let plane = range.start / plane_in.max(1);
         let base = plane * plane_in;
         effects::read(go, plane * plane_out..(plane + 1) * plane_out);
@@ -144,7 +157,8 @@ pub fn avg_pool2d(input: &Tensor, k: usize, stride: usize) -> Tensor {
     let in_data = input.data();
     let mut out = Tensor::zeros(&[n, c, ho, wo]);
     let _scope = effects::kernel_scope("avg_pool2d");
-    aibench_parallel::parallel_slice_mut(out.data_mut(), plane_out, |range, out_plane| {
+    let work = window_taps(n * c * plane_out, k);
+    parallel_slice_mut_weighted(out.data_mut(), plane_out, work, |range, out_plane| {
         let plane = range.start / plane_out.max(1);
         let base = plane * h * w;
         effects::read(in_data, base..base + h * w);
@@ -182,7 +196,8 @@ pub fn avg_pool2d_backward(
     let go = grad_output.data();
     let mut gx = Tensor::zeros(input_shape);
     let _scope = effects::kernel_scope("avg_pool2d_bwd");
-    aibench_parallel::parallel_slice_mut(gx.data_mut(), plane_in, |range, gx_plane| {
+    let work = window_taps(go.len(), k);
+    parallel_slice_mut_weighted(gx.data_mut(), plane_in, work, |range, gx_plane| {
         let plane = range.start / plane_in.max(1);
         effects::read(go, plane * plane_out..(plane + 1) * plane_out);
         let mut oi = plane * plane_out;

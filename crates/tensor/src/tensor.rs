@@ -305,9 +305,11 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
         let mut data = vec![0.0f32; self.data.len()];
         let _scope = aibench_parallel::effects::kernel_scope("tensor_map");
-        aibench_parallel::parallel_slice_mut(
+        aibench_parallel::parallel_slice_mut_weighted(
             &mut data,
             aibench_parallel::ELEMWISE_CHUNK,
+            // Work in values moved: one read and one written per element.
+            (self.data.len() * 2) as u64,
             |range, out| {
                 aibench_parallel::effects::read(&self.data, range.clone());
                 for (o, &x) in out.iter_mut().zip(&self.data[range]) {
@@ -324,9 +326,12 @@ impl Tensor {
     /// Applies `f` elementwise in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
         let _scope = aibench_parallel::effects::kernel_scope("tensor_map_inplace");
-        aibench_parallel::parallel_slice_mut(
+        // Work in values moved: one read and one written per element.
+        let work = (self.data.len() * 2) as u64;
+        aibench_parallel::parallel_slice_mut_weighted(
             &mut self.data,
             aibench_parallel::ELEMWISE_CHUNK,
+            work,
             |_, chunk| {
                 for x in chunk {
                     *x = f(*x);
@@ -348,9 +353,11 @@ impl Tensor {
         if self.shape == other.shape {
             let mut data = vec![0.0f32; self.data.len()];
             let _scope = aibench_parallel::effects::kernel_scope("tensor_zip");
-            aibench_parallel::parallel_slice_mut(
+            aibench_parallel::parallel_slice_mut_weighted(
                 &mut data,
                 aibench_parallel::ELEMWISE_CHUNK,
+                // Work in values moved: two read and one written per element.
+                (self.data.len() * 3) as u64,
                 |range, out| {
                     aibench_parallel::effects::read(&self.data, range.clone());
                     aibench_parallel::effects::read(&other.data, range.clone());
@@ -464,9 +471,12 @@ impl Tensor {
     pub fn add_scaled_inplace(&mut self, other: &Tensor, alpha: f32) {
         assert_eq!(self.shape, other.shape, "add_scaled_inplace shape mismatch");
         let _scope = aibench_parallel::effects::kernel_scope("add_scaled");
-        aibench_parallel::parallel_slice_mut(
+        // Work in values moved: two read and one written per element.
+        let work = (self.data.len() * 3) as u64;
+        aibench_parallel::parallel_slice_mut_weighted(
             &mut self.data,
             aibench_parallel::ELEMWISE_CHUNK,
+            work,
             |range, chunk| {
                 aibench_parallel::effects::read(&other.data, range.clone());
                 for (a, &b) in chunk.iter_mut().zip(&other.data[range]) {

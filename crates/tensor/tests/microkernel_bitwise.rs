@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 use aibench_tensor::ops::{self, Conv2dArgs, GemmPath};
 use aibench_tensor::{Rng, Tensor};
 
-const THREADS: &[usize] = &[1, 4, 8];
+const THREADS: &[usize] = &[1, 2, 3, 8];
 
 /// Serializes the tests in this file: thread count and GEMM path are
 /// process-global, and each test sweeps both.
@@ -58,8 +58,9 @@ fn sweep(label: &str, f: impl Fn() -> Tensor) -> Tensor {
 }
 
 /// Odd GEMM shapes: zero-size, 1xN, Nx1, sub-microtile, non-multiples of
-/// every blocking parameter (MR=4, NR=8, TILE=32, MC=64, KC=256), and
-/// shapes straddling the packing threshold.
+/// every blocking parameter (MR=4, NR=8, TILE=32, MC=64, KC=256), shapes
+/// straddling the packing threshold, and two-row-block shapes one `k` step
+/// below and exactly at the pool-engagement threshold (256 Ki flops).
 #[test]
 fn gemm_all_paths_match_naive_across_threads() {
     let _g = lock_globals();
@@ -78,6 +79,8 @@ fn gemm_all_paths_match_naive_across_threads() {
         (33, 257, 65),
         (63, 64, 65),
         (130, 70, 130),
+        (128, 31, 32), // 253 952 flops: runs inline
+        (128, 32, 32), // 262 144 flops: engages the pool
     ];
     for &(m, k, n) in shapes {
         let a = Tensor::from_vec(fill(m as u64 * 131 + n as u64, m * k), &[m, k]);
@@ -154,6 +157,8 @@ fn conv2d_matches_naive_across_threads_and_algos() {
         (3, 4, 9, 9, 8, 3, 3, 2, 1),    // strided
         (2, 8, 12, 12, 16, 3, 3, 1, 1), // CNN-trainer-like: Im2colGemm
         (1, 2, 1, 7, 2, 1, 3, 1, 1),    // 1-row input
+        (2, 4, 15, 15, 8, 3, 3, 1, 1),  // 259 200 flops: per-sample region inline
+        (2, 4, 16, 16, 8, 3, 3, 1, 1),  // 294 912 flops: engages the pool
     ];
     for &(n, ci, h, w, co, kh, kw, stride, pad) in cases {
         let x = Tensor::from_vec(
@@ -184,6 +189,8 @@ fn conv2d_backward_kernels_are_path_and_thread_invariant() {
         (2, 2, 5, 4, 3, 3, 3, 1, 1),
         (3, 4, 9, 9, 8, 3, 3, 2, 1),
         (2, 8, 12, 12, 16, 3, 3, 1, 1),
+        (2, 4, 15, 15, 8, 3, 3, 1, 1), // just below the engagement threshold
+        (2, 4, 16, 16, 8, 3, 3, 1, 1), // just above it
     ];
     for &(n, ci, h, w, co, kh, kw, stride, pad) in cases {
         let args = Conv2dArgs::new(stride, pad);
@@ -207,12 +214,15 @@ fn conv2d_backward_kernels_are_path_and_thread_invariant() {
 }
 
 /// Lane-blocked reductions: bitwise thread-invariance over lengths around
-/// every boundary (empty, single lane, lane remainder, chunk remainder).
+/// every boundary (empty, single lane, lane remainder, chunk remainder,
+/// and the last inline / first pool-engaged length, 262 143 / 262 144).
 #[test]
 fn reductions_are_bitwise_thread_invariant() {
     let _g = lock_globals();
     let base_threads = aibench_parallel::threads();
-    for &len in &[0usize, 1, 7, 8, 9, 4095, 4096, 4097, 100_000] {
+    for &len in &[
+        0usize, 1, 7, 8, 9, 4095, 4096, 4097, 100_000, 262_143, 262_144,
+    ] {
         let data = fill(len as u64 + 3, len);
         let t = Tensor::from_vec(data.clone(), &[len]);
         let mut sums = Vec::new();

@@ -13,6 +13,8 @@ use std::sync::Mutex;
 
 use aibench::registry::Registry;
 use aibench::runner::{run_to_quality, RunConfig};
+use aibench_autograd::Param;
+use aibench_nn::{Adam, Optimizer};
 use aibench_parallel::ParallelConfig;
 use aibench_tensor::{ops, Rng, Tensor};
 
@@ -26,18 +28,34 @@ const SWEEP: [usize; 4] = [1, 2, 3, 8];
 /// Runs `f` once per sweep entry and asserts all results are bitwise equal
 /// to the single-threaded baseline.
 fn bitwise_across_threads(what: &str, f: impl Fn() -> Vec<f32>) {
+    sweep_threads(what, None, f)
+}
+
+/// [`bitwise_across_threads`] that also pins the engage/inline decision:
+/// wherever a pool exists the call opens exactly `pool_regions`
+/// pool-engaged regions — the same at 2, 3 and 8 threads, because the
+/// decision reads the shape alone — and a one-thread pool none.
+fn engagement_across_threads(what: &str, pool_regions: u64, f: impl Fn() -> Vec<f32>) {
+    sweep_threads(what, Some(pool_regions), f)
+}
+
+fn sweep_threads(what: &str, pool_regions: Option<u64>, f: impl Fn() -> Vec<f32>) {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut baseline = None;
+    let mut baseline: Option<Vec<u32>> = None;
     for &t in &SWEEP {
         ParallelConfig::with_threads(t).install();
+        let before = aibench_parallel::stats();
         let got: Vec<u32> = f().iter().map(|v| v.to_bits()).collect();
-        match &baseline {
-            None => baseline = Some(got),
-            Some(expect) => assert_eq!(
-                expect, &got,
-                "{what}: {t}-thread result differs bitwise from serial"
-            ),
+        if let Some(pool_regions) = pool_regions {
+            let regions = aibench_parallel::stats().delta(&before).regions;
+            let expect = if t == 1 { 0 } else { pool_regions };
+            assert_eq!(regions, expect, "{what}: pool regions at {t} thread(s)");
         }
+        let expect = baseline.get_or_insert_with(|| got.clone());
+        assert_eq!(
+            expect, &got,
+            "{what}: {t}-thread result differs bitwise from serial"
+        );
     }
     ParallelConfig::from_env().install();
 }
@@ -103,6 +121,65 @@ fn elementwise_and_reductions_bitwise_identical() {
         z.add_scaled_inplace(&y, 0.37);
         z.into_vec()
     });
+}
+
+/// Shapes one step below and at (or just above) the pool-engagement
+/// threshold of 256 Ki flops or values moved: the results are bitwise equal on
+/// both sides of it, and which side a shape falls on never depends on the
+/// thread count.
+#[test]
+fn engagement_threshold_is_shape_only_and_bitwise_neutral() {
+    let mut rng = Rng::seed_from(16);
+
+    // GEMM, two row blocks: 2*128*k*32 flops.
+    let b31 = Tensor::randn(&[31, 32], &mut rng);
+    let b32 = Tensor::randn(&[32, 32], &mut rng);
+    let a31 = Tensor::randn(&[128, 31], &mut rng);
+    let a32 = Tensor::randn(&[128, 32], &mut rng);
+    engagement_across_threads("matmul 253952 flops", 0, || {
+        ops::matmul(&a31, &b31).into_vec()
+    });
+    engagement_across_threads("matmul 262144 flops", 1, || {
+        ops::matmul(&a32, &b32).into_vec()
+    });
+
+    // Conv, one sample per chunk: 2 * 2*8*36*(h*w) flops, nested GEMM
+    // included (it has one row block, so it never engages on its own).
+    let args = ops::Conv2dArgs::new(1, 1);
+    let w = Tensor::randn(&[8, 4, 3, 3], &mut rng);
+    for (side, pool_regions) in [(15, 0), (16, 1)] {
+        let x = Tensor::randn(&[2, 4, side, side], &mut rng);
+        let gy = Tensor::randn(&[2, 8, side, side], &mut rng);
+        engagement_across_threads(&format!("conv2d {side}x{side}"), pool_regions, || {
+            ops::conv2d(&x, &w, args).into_vec()
+        });
+        engagement_across_threads(
+            &format!("conv2d_backward_weight {side}x{side}"),
+            pool_regions,
+            || ops::conv2d_backward_weight(&x, &gy, (3, 3), args).into_vec(),
+        );
+    }
+
+    // Reduction: one value read per element.
+    for (len, pool_regions) in [(262_143, 0), (262_144, 1)] {
+        let x = Tensor::randn(&[len], &mut rng);
+        engagement_across_threads(&format!("sum of {len}"), pool_regions, || vec![x.sum()]);
+    }
+
+    // Adam: two sweeps over three arrays and one over four, so the value
+    // sweep engages first (4 * 65536) and the moment sweeps later
+    // (3 * 87382).
+    for (len, pool_regions) in [(65_535, 0), (65_536, 1), (87_381, 1), (87_382, 3)] {
+        let init = Tensor::randn(&[len], &mut rng);
+        let grad = Tensor::randn(&[len], &mut rng);
+        engagement_across_threads(&format!("adam over {len}"), pool_regions, || {
+            let p = Param::new("p", init.clone());
+            *p.grad_mut() = grad.clone();
+            Adam::new(vec![p.clone()], 1e-2).step();
+            let stepped = p.value().clone();
+            stepped.into_vec()
+        });
+    }
 }
 
 #[test]
