@@ -207,8 +207,8 @@ pub fn check_thread_invariance(registry: &Registry) -> Vec<Diagnostic> {
             "bitwise-identical distributed runs at 1 and 4 threads",
             format!(
                 "final quality {:.9} vs {:.9}, fault logs `{}` vs `{}`",
-                serial.dist.final_quality,
-                threaded.dist.final_quality,
+                serial.result.final_quality,
+                threaded.result.final_quality,
                 serial.dist.fault_signatures().join(","),
                 threaded.dist.fault_signatures().join(",")
             ),

@@ -18,6 +18,10 @@
 //!   and fault injection, [`DirSink`] for real interrupted runs, and
 //!   [`FailingSink`] as the scheduled-I/O-failure test double. Storage
 //!   failures surface as typed [`CkptError::Io`] values, never silently.
+//! * [`PartialRun`] — the progress record every runner commits epochs
+//!   through: the eval cadence, the stop rule and the one progress codec;
+//!   [`latest_valid`] is the one "newest snapshot that still validates"
+//!   walk over a sink.
 //! * [`validate`] — a lint-grade walker that collects *every* defect in a
 //!   byte stream (bad magic, version mismatch, checksum failures,
 //!   truncation, orphan trailing bytes, duplicate sections) instead of
@@ -33,11 +37,13 @@
 mod crc32;
 mod error;
 mod format;
+mod progress;
 mod sink;
 mod state;
 
 pub use crc32::crc32;
 pub use error::CkptError;
 pub use format::{validate, SnapshotFile, FORMAT_VERSION, MAGIC};
-pub use sink::{CheckpointSink, DirSink, FailingSink, MemorySink};
+pub use progress::PartialRun;
+pub use sink::{latest_valid, CheckpointSink, DirSink, FailingSink, MemorySink};
 pub use state::{key, Restore, Snapshot, State, Value};

@@ -36,6 +36,29 @@ pub trait CheckpointSink {
     fn remove(&mut self, epoch: usize);
 }
 
+/// Walks `sink` from the newest snapshot to the oldest and returns the
+/// first one `restore` accepts, with its epoch. Unreadable (I/O error),
+/// corrupt, and mismatched snapshots are skipped in favor of the next
+/// older — that fallback *is* the recovery policy at this layer; callers
+/// that need to tell a clean miss from storage trouble inspect the sink
+/// themselves. `skip_newest` passes over the newest stored epoch unread,
+/// as if its load had failed.
+pub fn latest_valid<T>(
+    sink: &dyn CheckpointSink,
+    skip_newest: bool,
+    mut restore: impl FnMut(&[u8]) -> Result<T, CkptError>,
+) -> Option<(usize, T)> {
+    for &epoch in sink.epochs().iter().rev().skip(usize::from(skip_newest)) {
+        let Ok(Some(bytes)) = sink.load(epoch) else {
+            continue;
+        };
+        if let Ok(restored) = restore(&bytes) {
+            return Some((epoch, restored));
+        }
+    }
+    None
+}
+
 /// A mutable borrow of a sink is itself a sink, so drivers can be written
 /// generically over sink *ownership*: a one-shot runner borrows the
 /// caller's sink, a long-lived served session owns its own.
@@ -339,6 +362,31 @@ mod tests {
         assert!(sink.load(7).unwrap().is_none());
         sink.remove(5);
         assert_eq!(sink.epochs(), vec![10]);
+    }
+
+    #[test]
+    fn latest_valid_falls_back_past_unreadable_rejected_and_skipped_snapshots() {
+        let mut inner = MemorySink::new();
+        for epoch in 1..=4 {
+            inner.save(epoch, &[epoch as u8]).unwrap();
+        }
+        let sink = FailingSink::new(inner).fail_load_at(4);
+        let accept_odd = |bytes: &[u8]| match bytes[0] % 2 {
+            1 => Ok(bytes[0]),
+            _ => Err(CkptError::MetaMismatch {
+                what: "even".to_string(),
+            }),
+        };
+        // 4 cannot be loaded, so 3 is the newest that validates; skipping
+        // the newest stored epoch (4) changes nothing here.
+        assert_eq!(latest_valid(&sink, false, accept_odd), Some((3, 3)));
+        assert_eq!(latest_valid(&sink, true, accept_odd), Some((3, 3)));
+        let mut sink = sink;
+        sink.remove(4);
+        // Now 3 is the newest and skipping it falls back to 1.
+        assert_eq!(latest_valid(&sink, true, accept_odd), Some((1, 1)));
+        sink.remove(1);
+        assert_eq!(latest_valid(&sink, true, accept_odd), None);
     }
 
     #[test]

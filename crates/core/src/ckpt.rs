@@ -7,8 +7,8 @@
 //! * `meta` — run identity (benchmark code, seed, and the [`RunConfig`]
 //!   fields that shape the trajectory). Resume refuses a snapshot whose
 //!   identity disagrees with the session being resumed.
-//! * `progress` — the partial [`RunResult`]: epochs run, loss and quality
-//!   traces, convergence epoch.
+//! * `progress` — the session's [`PartialRun`], in the one progress codec
+//!   ([`PartialRun::put_state`]).
 //! * `trainer` — everything training mutates, via
 //!   [`Trainer::save_state`]: parameters, optimizer moments, RNG position,
 //!   batch-norm running statistics, step counters.
@@ -26,39 +26,7 @@ use crate::registry::Benchmark;
 use crate::runner::{RunConfig, RunResult};
 use crate::session::TrainingSession;
 
-/// The accumulated portion of a [`RunResult`] carried across sessions.
-#[derive(Debug, Clone)]
-pub struct PartialRun {
-    /// Epochs completed so far.
-    pub epochs_run: usize,
-    /// Convergence epoch, if reached.
-    pub epochs_to_target: Option<usize>,
-    /// `(epoch, quality)` per evaluation so far.
-    pub quality_trace: Vec<(usize, f64)>,
-    /// Mean training loss per epoch so far.
-    pub loss_trace: Vec<f32>,
-    /// Most recent quality (NaN before the first evaluation).
-    pub final_quality: f64,
-}
-
-impl PartialRun {
-    /// The empty progress of a fresh run.
-    pub fn fresh() -> Self {
-        PartialRun {
-            epochs_run: 0,
-            epochs_to_target: None,
-            quality_trace: Vec::new(),
-            loss_trace: Vec::new(),
-            final_quality: f64::NAN,
-        }
-    }
-}
-
-impl Default for PartialRun {
-    fn default() -> Self {
-        PartialRun::fresh()
-    }
-}
+pub use aibench_ckpt::PartialRun;
 
 /// Serializes the complete session state — run identity, progress, and the
 /// trainer's mutable state — into snapshot bytes.
@@ -76,27 +44,7 @@ pub fn snapshot_run(
     meta.put_usize("eval_every", config.eval_every);
 
     let mut prog = State::new();
-    prog.put_usize("epochs_run", progress.epochs_run);
-    prog.put_bool("converged", progress.epochs_to_target.is_some());
-    prog.put_usize("epochs_to_target", progress.epochs_to_target.unwrap_or(0));
-    prog.put_u64s(
-        "quality_epochs",
-        progress
-            .quality_trace
-            .iter()
-            .map(|&(e, _)| e as u64)
-            .collect(),
-    );
-    prog.put_f64s(
-        "quality_values",
-        progress.quality_trace.iter().map(|&(_, q)| q).collect(),
-    );
-    prog.put_f32s(
-        "loss_trace",
-        &[progress.loss_trace.len()],
-        progress.loss_trace.clone(),
-    );
-    prog.put_f64("final_quality", progress.final_quality);
+    progress.put_state(&mut prog);
 
     let mut trainer_state = State::new();
     trainer.save_state(&mut trainer_state);
@@ -146,56 +94,11 @@ pub fn restore_run(
         ));
     }
 
-    let prog = file.section("progress")?;
-    let epochs = prog.u64s("quality_epochs")?;
-    let values = prog.f64s("quality_values")?;
-    if epochs.len() != values.len() {
-        return Err(CkptError::MetaMismatch {
-            what: "quality trace epochs/values lengths differ".to_string(),
-        });
-    }
-    let progress = PartialRun {
-        epochs_run: prog.usize("epochs_run")?,
-        epochs_to_target: prog
-            .bool("converged")?
-            .then(|| prog.usize("epochs_to_target"))
-            .transpose()?,
-        quality_trace: epochs
-            .iter()
-            .zip(values)
-            .map(|(&e, &q)| (e as usize, q))
-            .collect(),
-        loss_trace: prog.f32s("loss_trace")?.1.to_vec(),
-        final_quality: prog.f64("final_quality")?,
-    };
+    let progress = PartialRun::from_state(file.section("progress")?)?;
 
     let mut trainer = benchmark.build(seed);
     trainer.load_state(file.section("trainer")?)?;
     Ok((trainer, progress))
-}
-
-/// Walks `sink` from the newest snapshot to the oldest and returns the
-/// first that decodes, matches this run's identity, and restores cleanly,
-/// together with its epoch. Unreadable (I/O error), corrupt, and mismatched
-/// snapshots are skipped in favor of the next older — that fallback *is*
-/// the recovery policy at this layer; callers that need to distinguish a
-/// clean miss from storage trouble (the supervised runner) inspect the sink
-/// themselves.
-pub fn latest_valid_restore(
-    benchmark: &Benchmark,
-    seed: u64,
-    config: &RunConfig,
-    sink: &dyn CheckpointSink,
-) -> Option<(Box<dyn Trainer>, PartialRun, usize)> {
-    for &epoch in sink.epochs().iter().rev() {
-        let Ok(Some(bytes)) = sink.load(epoch) else {
-            continue;
-        };
-        if let Ok((t, p)) = restore_run(benchmark, seed, config, &bytes) {
-            return Some((t, p, epoch));
-        }
-    }
-    None
 }
 
 /// The engine behind the resumable runner: resumes from the newest valid
@@ -367,12 +270,20 @@ mod tests {
     fn resumable_without_checkpoints_matches_plain_runner() {
         let r = Registry::aibench();
         let b = r.get("DC-AI-C15").unwrap();
-        let config = cfg(3, 0);
-        let plain = crate::runner::run_to_quality(b, 1, &config);
-        let mut sink = MemorySink::new();
-        let resumable = run_to_quality_resumable(b, 1, &config, &mut sink).unwrap();
-        assert!(plain.deterministic_eq(&resumable));
-        assert!(sink.epochs().is_empty());
+        for (max_epochs, eval_every) in [(3, 1), (5, 2), (5, 3), (4, 0), (7, 4)] {
+            let config = RunConfig {
+                eval_every,
+                ..cfg(max_epochs, 0)
+            };
+            let plain = crate::runner::run_to_quality(b, 2, &config);
+            let mut sink = MemorySink::new();
+            let resumable = run_to_quality_resumable(b, 2, &config, &mut sink).unwrap();
+            assert!(
+                plain.deterministic_eq(&resumable),
+                "({max_epochs}, {eval_every})"
+            );
+            assert!(sink.epochs().is_empty());
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use aibench_ckpt::CheckpointSink;
+use aibench_ckpt::{CheckpointSink, CkptError};
 use aibench_dist::{
     run_data_parallel, run_data_parallel_resumable, DistConfig, DistRunResult, RunParams,
 };
@@ -40,34 +40,59 @@ use crate::runner::{RunConfig, RunResult};
 pub struct DistReport {
     /// The session outcome in [`crate::runner`] shape.
     pub result: RunResult,
-    /// The complete distributed outcome: world trace, fault log, reshard
-    /// count, logical time, abort flag.
+    /// The complete distributed outcome: progress record, world trace,
+    /// fault log, reshard count, logical time, abort flag.
     pub dist: DistRunResult,
 }
 
-impl DistReport {
-    fn new(benchmark: &Benchmark, dist: DistRunResult, wall_seconds: f64) -> Self {
-        let result = RunResult {
-            code: benchmark.id.code().to_string(),
-            seed: dist.seed,
-            epochs_run: dist.epochs_run,
-            epochs_to_target: dist.epochs_to_target,
-            quality_trace: dist.quality_trace.clone(),
-            loss_trace: dist.loss_trace.clone(),
-            final_quality: dist.final_quality,
-            wall_seconds,
-            resumed_from: dist.resumed_from,
-        };
-        DistReport { result, dist }
+/// The one body behind both entry points: opens the data-parallel session
+/// (installing `config.parallel` if set), runs the group — through `sink`
+/// when there is one — and closes its progress record into a [`RunResult`].
+fn run_group(
+    benchmark: &Benchmark,
+    seed: u64,
+    config: &RunConfig,
+    dist: &DistConfig,
+    sink: Option<&mut dyn CheckpointSink>,
+) -> Option<Result<DistReport, CkptError>> {
+    if !benchmark.supports_data_parallel() {
+        return None;
     }
-}
-
-fn run_params(config: &RunConfig) -> RunParams {
-    RunParams {
+    if let Some(par) = config.parallel {
+        par.install();
+    }
+    let start = Instant::now();
+    let factory = |s: u64| {
+        benchmark
+            .build_data_parallel(s)
+            .expect("supports_data_parallel was checked above")
+    };
+    let target_met = |q: f64| benchmark.target.met_by(q);
+    let params = RunParams {
         max_epochs: config.max_epochs,
         eval_every: config.eval_every,
         snapshot_every: config.checkpoint_every,
-    }
+    };
+    let outcome = match sink {
+        Some(sink) => run_data_parallel_resumable(&factory, seed, &target_met, &params, dist, sink),
+        None => Ok(run_data_parallel(
+            &factory,
+            seed,
+            &target_met,
+            &params,
+            dist,
+        )),
+    };
+    Some(outcome.map(|dist| DistReport {
+        result: RunResult::from_progress(
+            benchmark.id.code(),
+            dist.seed,
+            dist.progress.clone(),
+            start.elapsed().as_secs_f64(),
+            dist.resumed_from,
+        ),
+        dist,
+    }))
 }
 
 /// Runs an entire data-parallel training session of `benchmark`: `dist.world`
@@ -84,57 +109,23 @@ pub fn run_distributed_to_quality(
     config: &RunConfig,
     dist: &DistConfig,
 ) -> Option<DistReport> {
-    if !benchmark.supports_data_parallel() {
-        return None;
-    }
-    if let Some(par) = config.parallel {
-        par.install();
-    }
-    let start = Instant::now();
-    let factory = |s: u64| {
-        benchmark
-            .build_data_parallel(s)
-            .expect("supports_data_parallel was checked above")
-    };
-    let target_met = |q: f64| benchmark.target.met_by(q);
-    let outcome = run_data_parallel(&factory, seed, &target_met, &run_params(config), dist);
-    Some(DistReport::new(
-        benchmark,
-        outcome,
-        start.elapsed().as_secs_f64(),
-    ))
+    run_group(benchmark, seed, config, dist, None)
+        .map(|report| report.expect("a run without a sink saves nothing"))
 }
 
 /// Like [`run_distributed_to_quality`], but resumes from the newest valid
 /// group snapshot in `sink` and saves a new snapshot every
-/// `config.checkpoint_every` epochs (0 disables saving).
+/// `config.checkpoint_every` epochs (0 disables saving). A snapshot that
+/// cannot be written is an `Err`, as in
+/// [`run_to_quality_resumable`](crate::ckpt::run_to_quality_resumable).
 pub fn run_distributed_to_quality_resumable(
     benchmark: &Benchmark,
     seed: u64,
     config: &RunConfig,
     dist: &DistConfig,
     sink: &mut dyn CheckpointSink,
-) -> Option<DistReport> {
-    if !benchmark.supports_data_parallel() {
-        return None;
-    }
-    if let Some(par) = config.parallel {
-        par.install();
-    }
-    let start = Instant::now();
-    let factory = |s: u64| {
-        benchmark
-            .build_data_parallel(s)
-            .expect("supports_data_parallel was checked above")
-    };
-    let target_met = |q: f64| benchmark.target.met_by(q);
-    let outcome =
-        run_data_parallel_resumable(&factory, seed, &target_met, &run_params(config), dist, sink);
-    Some(DistReport::new(
-        benchmark,
-        outcome,
-        start.elapsed().as_secs_f64(),
-    ))
+) -> Option<Result<DistReport, CkptError>> {
+    run_group(benchmark, seed, config, dist, Some(sink))
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! The training runner: executes entire training sessions of the scaled
 //! benchmarks to their quality targets.
 
-use std::time::Instant;
+use aibench_ckpt::PartialRun;
 
 use crate::registry::Benchmark;
+use crate::session::TrainingSession;
 
 /// Runner configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,32 +66,49 @@ impl RunResult {
         self.epochs_to_target.is_some()
     }
 
+    /// Closes a session's accumulated `progress` into a result.
+    pub fn from_progress(
+        code: &str,
+        seed: u64,
+        progress: PartialRun,
+        wall_seconds: f64,
+        resumed_from: Option<usize>,
+    ) -> RunResult {
+        RunResult {
+            code: code.to_string(),
+            seed,
+            epochs_run: progress.epochs_run,
+            epochs_to_target: progress.epochs_to_target,
+            quality_trace: progress.quality_trace,
+            loss_trace: progress.loss_trace,
+            final_quality: progress.final_quality,
+            wall_seconds,
+            resumed_from,
+        }
+    }
+
+    /// The progress record this result closed.
+    pub fn progress(&self) -> PartialRun {
+        PartialRun {
+            epochs_run: self.epochs_run,
+            epochs_to_target: self.epochs_to_target,
+            quality_trace: self.quality_trace.clone(),
+            loss_trace: self.loss_trace.clone(),
+            final_quality: self.final_quality,
+        }
+    }
+
     /// Encodes the result into a ckpt [`State`](aibench_ckpt::State) —
     /// the compact typed byte format results cross the serving wire in
-    /// (no serde anywhere in the workspace). Floats round-trip bitwise,
+    /// (no serde anywhere in the workspace): identity and provenance
+    /// around the shared [`PartialRun`] codec. Floats round-trip bitwise,
     /// NaN included, so [`RunResult::deterministic_eq`] survives
     /// serialization.
     pub fn to_state(&self) -> aibench_ckpt::State {
         let mut state = aibench_ckpt::State::new();
         state.put_str("code", &self.code);
         state.put_u64("seed", self.seed);
-        state.put_usize("epochs_run", self.epochs_run);
-        state.put_bool("converged", self.epochs_to_target.is_some());
-        state.put_usize("epochs_to_target", self.epochs_to_target.unwrap_or(0));
-        state.put_u64s(
-            "quality_epochs",
-            self.quality_trace.iter().map(|&(e, _)| e as u64).collect(),
-        );
-        state.put_f64s(
-            "quality_values",
-            self.quality_trace.iter().map(|&(_, q)| q).collect(),
-        );
-        state.put_f32s(
-            "loss_trace",
-            &[self.loss_trace.len()],
-            self.loss_trace.clone(),
-        );
-        state.put_f64("final_quality", self.final_quality);
+        self.progress().put_state(&mut state);
         state.put_f64("wall_seconds", self.wall_seconds);
         state.put_bool("resumed", self.resumed_from.is_some());
         state.put_usize("resumed_from", self.resumed_from.unwrap_or(0));
@@ -101,34 +119,16 @@ impl RunResult {
     /// mistyped key surfaces as an error — wire corruption must never pass
     /// for a result.
     pub fn from_state(state: &aibench_ckpt::State) -> Result<RunResult, aibench_ckpt::CkptError> {
-        let epochs = state.u64s("quality_epochs")?;
-        let values = state.f64s("quality_values")?;
-        if epochs.len() != values.len() {
-            return Err(aibench_ckpt::CkptError::MetaMismatch {
-                what: "quality trace epochs/values lengths differ".to_string(),
-            });
-        }
-        Ok(RunResult {
-            code: state.str("code")?.to_string(),
-            seed: state.u64("seed")?,
-            epochs_run: state.usize("epochs_run")?,
-            epochs_to_target: state
-                .bool("converged")?
-                .then(|| state.usize("epochs_to_target"))
-                .transpose()?,
-            quality_trace: epochs
-                .iter()
-                .zip(values)
-                .map(|(&e, &q)| (e as usize, q))
-                .collect(),
-            loss_trace: state.f32s("loss_trace")?.1.to_vec(),
-            final_quality: state.f64("final_quality")?,
-            wall_seconds: state.f64("wall_seconds")?,
-            resumed_from: state
+        Ok(RunResult::from_progress(
+            state.str("code")?,
+            state.u64("seed")?,
+            PartialRun::from_state(state)?,
+            state.f64("wall_seconds")?,
+            state
                 .bool("resumed")?
                 .then(|| state.usize("resumed_from"))
                 .transpose()?,
-        })
+        ))
     }
 
     /// Bitwise equality of everything the training computation determines:
@@ -142,62 +142,20 @@ impl RunResult {
     pub fn deterministic_eq(&self, other: &RunResult) -> bool {
         self.code == other.code
             && self.seed == other.seed
-            && self.epochs_run == other.epochs_run
-            && self.epochs_to_target == other.epochs_to_target
-            && self.quality_trace.len() == other.quality_trace.len()
-            && self
-                .quality_trace
-                .iter()
-                .zip(&other.quality_trace)
-                .all(|((ea, qa), (eb, qb))| ea == eb && qa.to_bits() == qb.to_bits())
-            && self.loss_trace.len() == other.loss_trace.len()
-            && self
-                .loss_trace
-                .iter()
-                .zip(&other.loss_trace)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.final_quality.to_bits() == other.final_quality.to_bits()
+            && self.progress().bitwise_eq(&other.progress())
     }
 }
 
 /// Runs an entire training session of `benchmark` with the given seed:
 /// trains epoch by epoch, evaluating the quality metric, until the target
-/// is met or `config.max_epochs` is exhausted.
+/// is met or `config.max_epochs` is exhausted — a [`TrainingSession`]
+/// stepped until it is finished.
 pub fn run_to_quality(benchmark: &Benchmark, seed: u64, config: &RunConfig) -> RunResult {
-    if let Some(par) = config.parallel {
-        par.install();
+    let mut session = TrainingSession::fresh(benchmark, seed, config);
+    while !session.finished() {
+        session.step();
     }
-    let start = Instant::now();
-    let mut trainer = benchmark.build(seed);
-    let mut quality_trace = Vec::new();
-    let mut loss_trace = Vec::new();
-    let mut epochs_to_target = None;
-    let mut final_quality = f64::NAN;
-    let mut epochs_run = 0;
-    for epoch in 1..=config.max_epochs {
-        loss_trace.push(trainer.train_epoch());
-        epochs_run = epoch;
-        if epoch % config.eval_every.max(1) == 0 || epoch == config.max_epochs {
-            let q = trainer.evaluate();
-            quality_trace.push((epoch, q));
-            final_quality = q;
-            if benchmark.target.met_by(q) {
-                epochs_to_target = Some(epoch);
-                break;
-            }
-        }
-    }
-    RunResult {
-        code: benchmark.id.code().to_string(),
-        seed,
-        epochs_run,
-        epochs_to_target,
-        quality_trace,
-        loss_trace,
-        final_quality,
-        wall_seconds: start.elapsed().as_secs_f64(),
-        resumed_from: None,
-    }
+    session.result()
 }
 
 #[cfg(test)]
@@ -259,6 +217,8 @@ mod tests {
                 ..RunConfig::default()
             },
         );
-        assert!(res.quality_trace.len() <= 2);
+        let evaluated: Vec<usize> = res.quality_trace.iter().map(|&(e, _)| e).collect();
+        assert_eq!(evaluated, vec![2, 4]);
+        assert_eq!(res.loss_trace.len(), 4);
     }
 }

@@ -1,30 +1,47 @@
-//! The session lifecycle API: an open, steppable training session.
+//! The session core: one open, steppable training session.
 //!
-//! [`run_to_quality`](crate::runner::run_to_quality) and the resumable
-//! runner treat a session as a closed loop — start it, get a
-//! [`RunResult`] back. A scheduler (the `aibench-serve` server) needs the
-//! loop *open*: run one epoch, look at the progress, snapshot the session,
-//! park it to free its worker slot, and resume it later — bitwise
-//! identically — when capacity returns. [`TrainingSession`] is that open
-//! form; the closed runners are thin drivers over it.
+//! A *training session* — the paper's unit of measurement — is a trainer
+//! built from `(benchmark, seed)` plus a [`PartialRun`] progress record,
+//! advanced one epoch at a time until the record is
+//! [`finished`](PartialRun::finished): the quality target is met or
+//! `max_epochs` ran. [`TrainingSession`] is the only place in the
+//! workspace that trains a sequential epoch and commits it; every other
+//! runner is a layer over it:
+//!
+//! * [`run_to_quality`](crate::runner::run_to_quality) steps a fresh
+//!   session until finished;
+//! * the resumable runner ([`crate::ckpt`]) opens it from a sink and
+//!   checkpoints between steps;
+//! * `aibench-fault`'s `SupervisedSession` holds one and wraps each piece
+//!   of a step — [`train_next`](TrainingSession::train_next),
+//!   [`record_loss`](TrainingSession::record_loss),
+//!   [`evaluate`](TrainingSession::evaluate),
+//!   [`record_quality`](TrainingSession::record_quality) — in injections,
+//!   sentinels and panic guards, and rolls it back through
+//!   [`rollback`](TrainingSession::rollback);
+//! * `aibench-serve` schedules supervised sessions, parking them between
+//!   ticks to free their worker slots.
+//!
+//! (The data-parallel engine in `aibench-dist` trains a *group* of
+//! replicas instead of one trainer, so it cannot hold a `TrainingSession`,
+//! but it commits its epochs through the same [`PartialRun`].)
 //!
 //! # Determinism contract
 //!
-//! Stepping a session epoch by epoch performs exactly the call sequence of
-//! [`run_to_quality`](crate::runner::run_to_quality) — `train_epoch`, then
-//! `evaluate` on the same cadence — so a driven session reproduces the
-//! plain runner's trajectory bit for bit. [`TrainingSession::park`] saves
-//! a snapshot through [`snapshot_run`] and
-//! [`TrainingSession::unpark`] restores it through the same strict path
-//! the resumable runner uses, so a parked-and-resumed session is
-//! [`RunResult::deterministic_eq`] to one that never stopped.
+//! The call sequence per epoch is fixed — `train_epoch`, then `evaluate`
+//! on the record's cadence — so every layer reproduces the plain runner's
+//! trajectory bit for bit. [`TrainingSession::park`] saves a snapshot
+//! through [`snapshot_run`] and [`TrainingSession::unpark`] restores it
+//! through the same strict path the resumable runner uses, so a
+//! parked-and-resumed session is [`RunResult::deterministic_eq`] to one
+//! that never stopped.
 
 use std::time::Instant;
 
-use aibench_ckpt::{CheckpointSink, CkptError};
+use aibench_ckpt::{latest_valid, CheckpointSink, CkptError, PartialRun};
 use aibench_models::Trainer;
 
-use crate::ckpt::{latest_valid_restore, snapshot_run, PartialRun};
+use crate::ckpt::{restore_run, snapshot_run};
 use crate::registry::Benchmark;
 use crate::runner::{RunConfig, RunResult};
 
@@ -43,22 +60,9 @@ pub struct TrainingSession<'a> {
 }
 
 impl<'a> TrainingSession<'a> {
-    /// Opens a fresh session at epoch 0. Installs `config.parallel` if set,
-    /// exactly like the closed runners.
+    /// Opens a fresh session at epoch 0.
     pub fn fresh(benchmark: &'a Benchmark, seed: u64, config: &RunConfig) -> Self {
-        if let Some(par) = config.parallel {
-            par.install();
-        }
-        let start = Instant::now();
-        TrainingSession {
-            benchmark,
-            seed,
-            config: *config,
-            trainer: Some(benchmark.build(seed)),
-            progress: PartialRun::fresh(),
-            resumed_from: None,
-            start,
-        }
+        Self::open(benchmark, seed, config, None)
     }
 
     /// Opens a session from the newest valid snapshot in `sink`, falling
@@ -69,24 +73,34 @@ impl<'a> TrainingSession<'a> {
         config: &RunConfig,
         sink: &dyn CheckpointSink,
     ) -> Self {
+        Self::open(benchmark, seed, config, Some(sink))
+    }
+
+    /// Where every sequential session starts: installs `config.parallel`
+    /// if set, starts the wall clock, and builds or restores the trainer.
+    fn open(
+        benchmark: &'a Benchmark,
+        seed: u64,
+        config: &RunConfig,
+        sink: Option<&dyn CheckpointSink>,
+    ) -> Self {
         if let Some(par) = config.parallel {
             par.install();
         }
-        let start = Instant::now();
-        let (trainer, progress, resumed_from) =
-            match latest_valid_restore(benchmark, seed, config, sink) {
-                Some((t, p, epoch)) => (t, p, Some(epoch)),
-                None => (benchmark.build(seed), PartialRun::fresh(), None),
-            };
-        TrainingSession {
+        let mut session = TrainingSession {
             benchmark,
             seed,
             config: *config,
-            trainer: Some(trainer),
-            progress,
-            resumed_from,
-            start,
+            trainer: None,
+            progress: PartialRun::fresh(),
+            resumed_from: None,
+            start: Instant::now(),
+        };
+        match sink {
+            Some(sink) => session.resumed_from = session.unpark(sink),
+            None => session.trainer = Some(benchmark.build(seed)),
         }
+        session
     }
 
     /// The benchmark this session trains.
@@ -116,7 +130,7 @@ impl<'a> TrainingSession<'a> {
 
     /// Whether the session is over: converged, or out of epochs.
     pub fn finished(&self) -> bool {
-        self.converged() || self.progress.epochs_run >= self.config.max_epochs
+        self.progress.finished(self.config.max_epochs)
     }
 
     /// Whether the session is parked (trainer dropped; state lives in the
@@ -125,10 +139,27 @@ impl<'a> TrainingSession<'a> {
         self.trainer.is_none()
     }
 
-    fn trainer_mut(&mut self) -> &mut dyn Trainer {
+    /// The live trainer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session is parked.
+    pub fn trainer(&self) -> &dyn Trainer {
+        self.trainer
+            .as_deref()
+            .expect("session is parked; unpark before use")
+    }
+
+    /// The live trainer, mutably (supervised drivers corrupt, sanitize and
+    /// re-tune it in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session is parked.
+    pub fn trainer_mut(&mut self) -> &mut dyn Trainer {
         self.trainer
             .as_deref_mut()
-            .expect("session is parked; unpark before stepping")
+            .expect("session is parked; unpark before use")
     }
 
     /// Runs the next epoch's training pass and returns its mean loss
@@ -143,24 +174,36 @@ impl<'a> TrainingSession<'a> {
         self.trainer_mut().train_epoch()
     }
 
-    /// Commits `loss` as the next epoch's result and evaluates on the
-    /// runner's cadence (`eval_every`, plus always at the epoch cap).
-    /// Returns the quality if this epoch evaluated.
+    /// Commits `loss` as the next epoch's result and returns whether that
+    /// epoch evaluates (see [`PartialRun::record_loss`] for the cadence).
+    pub fn record_loss(&mut self, loss: f32) -> bool {
+        self.progress
+            .record_loss(loss, self.config.eval_every, self.config.max_epochs)
+    }
+
+    /// Measures the trainer's current quality, recording nothing.
+    pub fn evaluate(&mut self) -> f64 {
+        self.trainer_mut().evaluate()
+    }
+
+    /// Records `quality` as the newest epoch's evaluation and checks it
+    /// against the benchmark's target.
+    pub fn record_quality(&mut self, quality: f64) {
+        self.progress
+            .record_quality(quality, self.benchmark.target.met_by(quality));
+    }
+
+    /// Commits `loss` as the next epoch's result and evaluates if the
+    /// epoch is on the cadence: [`record_loss`](Self::record_loss), then
+    /// [`evaluate`](Self::evaluate) and
+    /// [`record_quality`](Self::record_quality). Returns the quality if
+    /// this epoch evaluated.
     pub fn commit(&mut self, loss: f32) -> Option<f64> {
-        let epoch = self.progress.epochs_run + 1;
-        self.progress.loss_trace.push(loss);
-        self.progress.epochs_run = epoch;
-        if epoch.is_multiple_of(self.config.eval_every.max(1)) || epoch == self.config.max_epochs {
-            let q = self.trainer_mut().evaluate();
-            self.progress.quality_trace.push((epoch, q));
-            self.progress.final_quality = q;
-            if self.benchmark.target.met_by(q) {
-                self.progress.epochs_to_target = Some(epoch);
-            }
-            Some(q)
-        } else {
-            None
-        }
+        self.record_loss(loss).then(|| {
+            let quality = self.evaluate();
+            self.record_quality(quality);
+            quality
+        })
     }
 
     /// Runs and commits one epoch: [`train_next`](Self::train_next) then
@@ -174,16 +217,12 @@ impl<'a> TrainingSession<'a> {
     /// Serializes the session (identity, progress, trainer state) into
     /// snapshot bytes.
     pub fn snapshot(&self) -> Vec<u8> {
-        let trainer = self
-            .trainer
-            .as_deref()
-            .expect("session is parked; its state is already in the park snapshot");
         snapshot_run(
             self.benchmark,
             self.seed,
             &self.config,
             &self.progress,
-            trainer,
+            self.trainer(),
         )
     }
 
@@ -198,43 +237,53 @@ impl<'a> TrainingSession<'a> {
     /// snapshot was taken at. The session stays queryable (progress,
     /// finished) but cannot step until [`unpark`](Self::unpark)ed.
     pub fn park(&mut self, sink: &mut dyn CheckpointSink) -> Result<usize, CkptError> {
-        let epoch = self.progress.epochs_run;
-        sink.save(epoch, &self.snapshot())?;
-        self.trainer = None;
-        Ok(epoch)
+        self.checkpoint(sink)?;
+        Ok(self.park_without_snapshot())
     }
 
-    /// Unparks (or rolls back) the session from the newest valid snapshot
-    /// in `sink`, returning the epoch restored from; with no usable
-    /// snapshot the session restarts from scratch and `None` is returned.
+    /// The park transition without a park snapshot, for when the park save
+    /// failed: drops the trainer at the current epoch anyway and returns
+    /// that epoch. The next [`unpark`](Self::unpark) restores the newest
+    /// snapshot that survives in the sink — or restarts from scratch — and
+    /// the session re-runs the gap, bitwise identically.
+    pub fn park_without_snapshot(&mut self) -> usize {
+        self.trainer = None;
+        self.progress.epochs_run
+    }
+
+    /// Unparks the session from the newest valid snapshot in `sink`,
+    /// returning the epoch restored from; with no usable snapshot the
+    /// session restarts from scratch and `None` is returned.
     pub fn unpark(&mut self, sink: &dyn CheckpointSink) -> Option<usize> {
-        match latest_valid_restore(self.benchmark, self.seed, &self.config, sink) {
-            Some((trainer, progress, epoch)) => {
-                self.trainer = Some(trainer);
-                self.progress = progress;
-                Some(epoch)
-            }
-            None => {
-                self.trainer = Some(self.benchmark.build(self.seed));
-                self.progress = PartialRun::fresh();
-                None
-            }
-        }
+        self.rollback(sink, false)
+    }
+
+    /// Replaces trainer and progress with the newest snapshot in `sink`
+    /// that decodes, matches this session's identity and restores cleanly
+    /// ([`latest_valid`] over [`restore_run`]), or with a scratch start
+    /// when none does. `skip_newest` treats the newest stored snapshot as
+    /// unreadable. Returns the epoch restored from.
+    pub fn rollback(&mut self, sink: &dyn CheckpointSink, skip_newest: bool) -> Option<usize> {
+        let restored = latest_valid(sink, skip_newest, |bytes| {
+            restore_run(self.benchmark, self.seed, &self.config, bytes)
+        });
+        let (epoch, run) = restored.unzip();
+        let (trainer, progress) =
+            run.unwrap_or_else(|| (self.benchmark.build(self.seed), PartialRun::fresh()));
+        self.trainer = Some(trainer);
+        self.progress = progress;
+        epoch
     }
 
     /// Closes the session into a [`RunResult`].
     pub fn result(&self) -> RunResult {
-        RunResult {
-            code: self.benchmark.id.code().to_string(),
-            seed: self.seed,
-            epochs_run: self.progress.epochs_run,
-            epochs_to_target: self.progress.epochs_to_target,
-            quality_trace: self.progress.quality_trace.clone(),
-            loss_trace: self.progress.loss_trace.clone(),
-            final_quality: self.progress.final_quality,
-            wall_seconds: self.start.elapsed().as_secs_f64(),
-            resumed_from: self.resumed_from,
-        }
+        RunResult::from_progress(
+            self.benchmark.id.code(),
+            self.seed,
+            self.progress.clone(),
+            self.start.elapsed().as_secs_f64(),
+            self.resumed_from,
+        )
     }
 }
 
@@ -256,14 +305,27 @@ mod tests {
     #[test]
     fn stepped_session_matches_plain_runner() {
         let r = Registry::aibench();
-        let b = r.get("DC-AI-C15").unwrap();
-        let config = cfg(3);
-        let plain = run_to_quality(b, 1, &config);
-        let mut session = TrainingSession::fresh(b, 1, &config);
-        while !session.finished() {
-            session.step();
+        // Seed 2 keeps DC-AI-C15 training to each cap, so every cadence
+        // plays out in full.
+        for code in ["DC-AI-C15", "DC-AI-C16"] {
+            let b = r.get(code).unwrap();
+            for (max_epochs, eval_every) in [(3, 1), (5, 2), (5, 3), (4, 0), (7, 4)] {
+                let config = RunConfig {
+                    eval_every,
+                    ..cfg(max_epochs)
+                };
+                let plain = run_to_quality(b, 2, &config);
+                let mut session = TrainingSession::fresh(b, 2, &config);
+                while !session.finished() {
+                    let loss = session.train_next();
+                    session.commit(loss);
+                }
+                assert!(
+                    plain.deterministic_eq(&session.result()),
+                    "{code} at ({max_epochs}, {eval_every})"
+                );
+            }
         }
-        assert!(plain.deterministic_eq(&session.result()));
     }
 
     #[test]
@@ -312,7 +374,7 @@ mod tests {
         let config = cfg(2);
         let mut session = TrainingSession::fresh(b, 1, &config);
         session.step();
-        session.trainer = None; // park without saving: the defective path
+        assert_eq!(session.park_without_snapshot(), 1); // the defective path
         let empty = MemorySink::new();
         assert_eq!(session.unpark(&empty), None);
         assert_eq!(session.epochs_run(), 0, "lost work restarts from scratch");

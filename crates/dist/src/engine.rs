@@ -26,7 +26,10 @@
 
 use std::collections::BTreeMap;
 
-use aibench_ckpt::{CheckpointSink, CkptError, Restore as _, Snapshot as _, SnapshotFile, State};
+use aibench_ckpt::{
+    latest_valid, CheckpointSink, CkptError, PartialRun, Restore as _, Snapshot as _, SnapshotFile,
+    State,
+};
 use aibench_data::shard::ShardedCursor;
 use aibench_models::DataParallel;
 
@@ -34,8 +37,9 @@ use crate::fault::{DistAction, DistFaultEvent, DistFaultKind, DistPolicy, DistSc
 use crate::membership::{MembershipChange, MembershipPlan, WorkerId};
 use crate::reduce::{tree_reduce, GradShard};
 
-/// Snapshot-format marker checked on resume.
-const FORMAT_TAG: &str = "aibench-dist/v1";
+/// Snapshot-format marker checked on resume. `v2`: the `progress` section
+/// opens with the shared [`PartialRun`] codec.
+const FORMAT_TAG: &str = "aibench-dist/v2";
 
 /// Builds one replica trainer from the run seed. Every worker is built from
 /// the *same* seed so all replicas start bitwise identical.
@@ -97,16 +101,9 @@ pub struct DistRunResult {
     pub seed: u64,
     /// Group size at the start of the run.
     pub initial_world: usize,
-    /// Training epochs completed.
-    pub epochs_run: usize,
-    /// First epoch at which the quality target held, if reached.
-    pub epochs_to_target: Option<usize>,
-    /// `(epoch, quality)` at every evaluation.
-    pub quality_trace: Vec<(usize, f64)>,
-    /// Mean training loss per completed epoch.
-    pub loss_trace: Vec<f32>,
-    /// Quality at the last evaluation (`NaN` before any).
-    pub final_quality: f64,
+    /// The session's progress record — epochs, loss and quality traces,
+    /// convergence epoch — committed exactly as a sequential session's.
+    pub progress: PartialRun,
     /// `(epoch, live workers)` after each completed epoch.
     pub world_trace: Vec<(usize, usize)>,
     /// Every detected fault and the action taken, in order.
@@ -132,28 +129,9 @@ impl DistRunResult {
     pub fn deterministic_eq(&self, other: &DistRunResult) -> bool {
         self.seed == other.seed
             && self.initial_world == other.initial_world
-            && self.epochs_run == other.epochs_run
-            && self.epochs_to_target == other.epochs_to_target
-            && self.loss_trace.len() == other.loss_trace.len()
-            && self
-                .loss_trace
-                .iter()
-                .zip(&other.loss_trace)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.quality_trace.len() == other.quality_trace.len()
-            && self
-                .quality_trace
-                .iter()
-                .zip(&other.quality_trace)
-                .all(|((ea, qa), (eb, qb))| ea == eb && qa.to_bits() == qb.to_bits())
-            && self.final_quality.to_bits() == other.final_quality.to_bits()
+            && self.progress.bitwise_eq(&other.progress)
             && self.world_trace == other.world_trace
-            && self.faults.len() == other.faults.len()
-            && self
-                .faults
-                .iter()
-                .zip(&other.faults)
-                .all(|(a, b)| a.signature() == b.signature())
+            && self.fault_signatures() == other.fault_signatures()
             && self.reshards == other.reshards
             && self.logical_time == other.logical_time
             && self.aborted == other.aborted
@@ -185,25 +163,15 @@ enum Attempt {
     Abort,
 }
 
+/// The group in flight: its replicas and fault bookkeeping around the
+/// [`DistRunResult`] it is accumulating.
 struct Session<'a> {
     factory: &'a ReplicaFactory<'a>,
-    seed: u64,
-    initial_world: usize,
     replicas: Vec<Replica>,
     parked: BTreeMap<WorkerId, (State, State)>,
     consumed: Vec<bool>,
     recoveries: usize,
-    epochs_run: usize,
-    epochs_to_target: Option<usize>,
-    quality_trace: Vec<(usize, f64)>,
-    loss_trace: Vec<f32>,
-    final_quality: f64,
-    world_trace: Vec<(usize, usize)>,
-    faults: Vec<DistFaultEvent>,
-    reshards: usize,
-    logical_time: u64,
-    resumed_from: Option<usize>,
-    aborted: bool,
+    run: DistRunResult,
 }
 
 impl<'a> Session<'a> {
@@ -228,41 +196,21 @@ impl<'a> Session<'a> {
             .collect();
         Session {
             factory,
-            seed,
-            initial_world: cfg.world,
             replicas,
             parked: BTreeMap::new(),
             consumed: vec![false; cfg.schedule.injections().len()],
             recoveries: 0,
-            epochs_run: 0,
-            epochs_to_target: None,
-            quality_trace: Vec::new(),
-            loss_trace: Vec::new(),
-            final_quality: f64::NAN,
-            world_trace: Vec::new(),
-            faults: Vec::new(),
-            reshards: 0,
-            logical_time: 0,
-            resumed_from: None,
-            aborted: false,
-        }
-    }
-
-    fn into_result(self) -> DistRunResult {
-        DistRunResult {
-            seed: self.seed,
-            initial_world: self.initial_world,
-            epochs_run: self.epochs_run,
-            epochs_to_target: self.epochs_to_target,
-            quality_trace: self.quality_trace,
-            loss_trace: self.loss_trace,
-            final_quality: self.final_quality,
-            world_trace: self.world_trace,
-            faults: self.faults,
-            reshards: self.reshards,
-            logical_time: self.logical_time,
-            resumed_from: self.resumed_from,
-            aborted: self.aborted,
+            run: DistRunResult {
+                seed,
+                initial_world: cfg.world,
+                progress: PartialRun::fresh(),
+                world_trace: Vec::new(),
+                faults: Vec::new(),
+                reshards: 0,
+                logical_time: 0,
+                resumed_from: None,
+                aborted: false,
+            },
         }
     }
 
@@ -279,7 +227,7 @@ impl<'a> Session<'a> {
         action: DistAction,
         world_after: usize,
     ) {
-        self.faults.push(DistFaultEvent {
+        self.run.faults.push(DistFaultEvent {
             epoch,
             step,
             worker,
@@ -289,10 +237,35 @@ impl<'a> Session<'a> {
         });
     }
 
-    /// Accounts one recovery against the policy budget; `false` aborts.
-    fn admit_recovery(&mut self, policy: &DistPolicy) -> bool {
+    /// The recoveries that replay the epoch: records `fault` on `worker`
+    /// with `action` (`ExcludeAndReshard` removes the worker first,
+    /// anything else is a plain `RollbackToSnapshot`), charges the policy's
+    /// recovery budget, and restores the boundary. Aborts when the budget
+    /// is spent or nobody is left.
+    fn recover(
+        &mut self,
+        (epoch, step): (usize, usize),
+        worker: WorkerId,
+        fault: DistFaultKind,
+        action: DistAction,
+        policy: &DistPolicy,
+        boundary: &mut Vec<BoundaryEntry>,
+    ) -> Attempt {
+        let exclude = action == DistAction::ExcludeAndReshard;
+        let world_after = self.replicas.len() - usize::from(exclude);
+        self.record(epoch, step, worker, fault, action, world_after);
         self.recoveries += 1;
-        self.recoveries <= policy.max_recoveries
+        if self.recoveries > policy.max_recoveries {
+            return Attempt::Abort;
+        }
+        if exclude {
+            self.exclude(worker, boundary);
+            if self.replicas.is_empty() {
+                return Attempt::Abort;
+            }
+        }
+        self.restore_boundary(boundary);
+        Attempt::Replay
     }
 
     fn capture_boundary(&self) -> Vec<BoundaryEntry> {
@@ -338,7 +311,7 @@ impl<'a> Session<'a> {
             self.replicas.remove(pos);
         }
         boundary.retain(|b| b.id != id);
-        self.reshards += 1;
+        self.run.reshards += 1;
     }
 
     /// Applies planned joins and leaves at the boundary entering `epoch`.
@@ -371,7 +344,7 @@ impl<'a> Session<'a> {
                     // parked state for this id is superseded.
                     let mut donor = State::new();
                     self.replicas[0].trainer.save_state(&mut donor);
-                    let mut trainer = (self.factory)(self.seed);
+                    let mut trainer = (self.factory)(self.run.seed);
                     trainer
                         .load_state(&donor)
                         .expect("join state sync must round-trip");
@@ -391,7 +364,7 @@ impl<'a> Session<'a> {
             }
         }
         if changed {
-            self.reshards += 1;
+            self.run.reshards += 1;
             let world = self.replicas.len();
             for (rank, replica) in self.replicas.iter_mut().enumerate() {
                 replica.cursor.set_shard(world.max(1), rank);
@@ -425,45 +398,28 @@ impl<'a> Session<'a> {
                 match inj.kind {
                     DistFaultKind::WorkerDrop => {
                         self.consumed[i] = true;
-                        let world_after = self.replicas.len() - 1;
-                        self.record(
-                            epoch,
-                            step,
+                        return self.recover(
+                            (epoch, step),
                             inj.worker,
                             inj.kind,
                             DistAction::ExcludeAndReshard,
-                            world_after,
+                            &cfg.policy,
+                            boundary,
                         );
-                        if !self.admit_recovery(&cfg.policy) {
-                            return Attempt::Abort;
-                        }
-                        self.exclude(inj.worker, boundary);
-                        if self.replicas.is_empty() {
-                            return Attempt::Abort;
-                        }
-                        self.restore_boundary(boundary);
-                        return Attempt::Replay;
                     }
                     DistFaultKind::StragglerDelay { ticks } => {
                         self.consumed[i] = true;
                         let exclude = cfg.policy.straggler == DistAction::ExcludeAndReshard
                             || ticks >= cfg.policy.straggler_exclude_after;
                         if exclude && self.replicas.len() > 1 {
-                            let world_after = self.replicas.len() - 1;
-                            self.record(
-                                epoch,
-                                step,
+                            return self.recover(
+                                (epoch, step),
                                 inj.worker,
                                 inj.kind,
                                 DistAction::ExcludeAndReshard,
-                                world_after,
+                                &cfg.policy,
+                                boundary,
                             );
-                            if !self.admit_recovery(&cfg.policy) {
-                                return Attempt::Abort;
-                            }
-                            self.exclude(inj.worker, boundary);
-                            self.restore_boundary(boundary);
-                            return Attempt::Replay;
                         }
                         self.record(
                             epoch,
@@ -521,121 +477,45 @@ impl<'a> Session<'a> {
             }
             // Detection and recovery: lost contributions …
             for id in lost {
+                let kind = DistFaultKind::LostContribution;
                 let action = match cfg.policy.lost_contribution {
-                    DistAction::AbsorbDelay => DistAction::RollbackToSnapshot,
-                    a => a,
-                };
-                match action {
                     DistAction::QuarantineShard => {
                         // The contribution is already absent; the reduce
                         // reweights over the survivors.
-                        self.record(
-                            epoch,
-                            step,
-                            id,
-                            DistFaultKind::LostContribution,
-                            DistAction::QuarantineShard,
-                            self.replicas.len(),
-                        );
+                        let world = self.replicas.len();
+                        self.record(epoch, step, id, kind, DistAction::QuarantineShard, world);
+                        continue;
                     }
-                    DistAction::ExcludeAndReshard => {
-                        let world_after = self.replicas.len() - 1;
-                        self.record(
-                            epoch,
-                            step,
-                            id,
-                            DistFaultKind::LostContribution,
-                            DistAction::ExcludeAndReshard,
-                            world_after,
-                        );
-                        if !self.admit_recovery(&cfg.policy) {
-                            return Attempt::Abort;
-                        }
-                        self.exclude(id, boundary);
-                        if self.replicas.is_empty() {
-                            return Attempt::Abort;
-                        }
-                        self.restore_boundary(boundary);
-                        return Attempt::Replay;
-                    }
-                    _ => {
-                        self.record(
-                            epoch,
-                            step,
-                            id,
-                            DistFaultKind::LostContribution,
-                            DistAction::RollbackToSnapshot,
-                            self.replicas.len(),
-                        );
-                        if !self.admit_recovery(&cfg.policy) {
-                            return Attempt::Abort;
-                        }
-                        self.restore_boundary(boundary);
-                        return Attempt::Replay;
-                    }
-                }
+                    DistAction::AbsorbDelay => DistAction::RollbackToSnapshot,
+                    action => action,
+                };
+                return self.recover((epoch, step), id, kind, action, &cfg.policy, boundary);
             }
             // … and corrupted shards, caught by the CRC sentinel.
-            if shards.iter().any(|s| !s.verify()) {
-                let action = match cfg.policy.corrupt_shard {
-                    DistAction::AbsorbDelay => DistAction::QuarantineShard,
-                    a => a,
-                };
-                let bad_ids: Vec<WorkerId> = shards
-                    .iter()
-                    .filter(|s| !s.verify())
-                    .map(|s| self.replicas[s.rank()].id)
-                    .collect();
-                match action {
-                    DistAction::QuarantineShard => {
+            let bad_ids: Vec<WorkerId> = shards
+                .iter()
+                .filter(|s| !s.verify())
+                .map(|s| self.replicas[s.rank()].id)
+                .collect();
+            if let Some(&first_bad) = bad_ids.first() {
+                let kind = DistFaultKind::CorruptGradShard;
+                match cfg.policy.corrupt_shard {
+                    DistAction::QuarantineShard | DistAction::AbsorbDelay => {
+                        let world = self.replicas.len();
                         for id in bad_ids {
-                            self.record(
-                                epoch,
-                                step,
-                                id,
-                                DistFaultKind::CorruptGradShard,
-                                DistAction::QuarantineShard,
-                                self.replicas.len(),
-                            );
+                            self.record(epoch, step, id, kind, DistAction::QuarantineShard, world);
                         }
                         shards.retain(GradShard::verify);
                     }
-                    DistAction::ExcludeAndReshard => {
-                        let id = bad_ids[0];
-                        let world_after = self.replicas.len() - 1;
-                        self.record(
-                            epoch,
-                            step,
-                            id,
-                            DistFaultKind::CorruptGradShard,
-                            DistAction::ExcludeAndReshard,
-                            world_after,
+                    action => {
+                        return self.recover(
+                            (epoch, step),
+                            first_bad,
+                            kind,
+                            action,
+                            &cfg.policy,
+                            boundary,
                         );
-                        if !self.admit_recovery(&cfg.policy) {
-                            return Attempt::Abort;
-                        }
-                        self.exclude(id, boundary);
-                        if self.replicas.is_empty() {
-                            return Attempt::Abort;
-                        }
-                        self.restore_boundary(boundary);
-                        return Attempt::Replay;
-                    }
-                    _ => {
-                        let id = bad_ids[0];
-                        self.record(
-                            epoch,
-                            step,
-                            id,
-                            DistFaultKind::CorruptGradShard,
-                            DistAction::RollbackToSnapshot,
-                            self.replicas.len(),
-                        );
-                        if !self.admit_recovery(&cfg.policy) {
-                            return Attempt::Abort;
-                        }
-                        self.restore_boundary(boundary);
-                        return Attempt::Replay;
                     }
                 }
             }
@@ -650,22 +530,29 @@ impl<'a> Session<'a> {
                 total += step_loss;
                 count += 1;
             }
-            self.logical_time += 1 + delay;
+            self.run.logical_time += 1 + delay;
         }
         Attempt::Done(total / count.max(1) as f32)
     }
 
+    /// Trains until the progress record is finished or the group aborts.
+    /// One iteration is one committed epoch: the group's training pass in
+    /// place of `train_epoch`, then the same [`PartialRun`] commit as a
+    /// sequential session. With a `sink`, a group snapshot is saved every
+    /// `params.snapshot_every` epochs; a save that fails is an `Err` —
+    /// durability was requested and lost.
     fn run_loop(
         &mut self,
         target_met: &dyn Fn(f64) -> bool,
         params: &RunParams,
         cfg: &DistConfig,
         mut sink: Option<&mut dyn CheckpointSink>,
-    ) {
-        'epochs: for epoch in (self.epochs_run + 1)..=params.max_epochs {
+    ) -> Result<(), CkptError> {
+        'epochs: while !self.run.progress.finished(params.max_epochs) {
+            let epoch = self.run.progress.epochs_run + 1;
             self.apply_membership(epoch, &cfg.membership);
             if self.replicas.is_empty() {
-                self.aborted = true;
+                self.run.aborted = true;
                 break;
             }
             let mut boundary = self.capture_boundary();
@@ -674,41 +561,37 @@ impl<'a> Session<'a> {
                     Attempt::Done(loss) => break loss,
                     Attempt::Replay => continue,
                     Attempt::Abort => {
-                        self.aborted = true;
+                        self.run.aborted = true;
                         break 'epochs;
                     }
                 }
             };
-            self.loss_trace.push(mean_loss);
-            self.epochs_run = epoch;
-            self.world_trace.push((epoch, self.replicas.len()));
-            if epoch % params.eval_every.max(1) == 0 || epoch == params.max_epochs {
+            self.run.world_trace.push((epoch, self.replicas.len()));
+            if self
+                .run
+                .progress
+                .record_loss(mean_loss, params.eval_every, params.max_epochs)
+            {
                 let quality = self.replicas[0].trainer.evaluate();
-                self.quality_trace.push((epoch, quality));
-                self.final_quality = quality;
-                if target_met(quality) {
-                    self.epochs_to_target = Some(epoch);
-                }
+                self.run
+                    .progress
+                    .record_quality(quality, target_met(quality));
             }
             if let Some(sink) = sink.as_deref_mut() {
-                if params.snapshot_every > 0 && epoch % params.snapshot_every == 0 {
-                    // Saving is best effort: a failed save costs the older
-                    // resume point, never the run.
-                    let _ = sink.save(epoch, &self.to_snapshot().to_bytes());
+                if params.snapshot_every > 0 && epoch.is_multiple_of(params.snapshot_every) {
+                    sink.save(epoch, &self.to_snapshot().to_bytes())?;
                 }
             }
-            if self.epochs_to_target.is_some() {
-                break;
-            }
         }
+        Ok(())
     }
 
     fn to_snapshot(&self) -> SnapshotFile {
         let mut file = SnapshotFile::new();
         let mut meta = State::new();
         meta.put_str("format", FORMAT_TAG);
-        meta.put_u64("seed", self.seed);
-        meta.put_usize("initial_world", self.initial_world);
+        meta.put_u64("seed", self.run.seed);
+        meta.put_usize("initial_world", self.run.initial_world);
         meta.put_u64s(
             "live",
             self.replicas.iter().map(|r| u64::from(r.id)).collect(),
@@ -718,57 +601,40 @@ impl<'a> Session<'a> {
             self.parked.keys().map(|&id| u64::from(id)).collect(),
         );
         file.push("meta", meta);
+        let run = &self.run;
         let mut prog = State::new();
-        prog.put_usize("epochs_run", self.epochs_run);
-        prog.put_f32s(
-            "loss_trace",
-            &[self.loss_trace.len()],
-            self.loss_trace.clone(),
-        );
-        prog.put_u64s(
-            "quality_epochs",
-            self.quality_trace.iter().map(|&(e, _)| e as u64).collect(),
-        );
-        prog.put_f64s(
-            "quality_values",
-            self.quality_trace.iter().map(|&(_, q)| q).collect(),
-        );
-        prog.put_u64(
-            "epochs_to_target",
-            self.epochs_to_target.map_or(u64::MAX, |e| e as u64),
-        );
-        prog.put_f64("final_quality", self.final_quality);
+        run.progress.put_state(&mut prog);
         prog.put_u64s(
             "world_epochs",
-            self.world_trace.iter().map(|&(e, _)| e as u64).collect(),
+            run.world_trace.iter().map(|&(e, _)| e as u64).collect(),
         );
         prog.put_u64s(
             "world_sizes",
-            self.world_trace.iter().map(|&(_, w)| w as u64).collect(),
+            run.world_trace.iter().map(|&(_, w)| w as u64).collect(),
         );
-        prog.put_usize("reshards", self.reshards);
-        prog.put_u64("logical_time", self.logical_time);
+        prog.put_usize("reshards", run.reshards);
+        prog.put_u64("logical_time", run.logical_time);
         prog.put_usize("recoveries", self.recoveries);
-        prog.put_bool("aborted", self.aborted);
+        prog.put_bool("aborted", run.aborted);
         prog.put_u64s(
             "fault_epochs",
-            self.faults.iter().map(|f| f.epoch as u64).collect(),
+            run.faults.iter().map(|f| f.epoch as u64).collect(),
         );
         prog.put_u64s(
             "fault_steps",
-            self.faults.iter().map(|f| f.step as u64).collect(),
+            run.faults.iter().map(|f| f.step as u64).collect(),
         );
         prog.put_u64s(
             "fault_workers",
-            self.faults.iter().map(|f| u64::from(f.worker)).collect(),
+            run.faults.iter().map(|f| u64::from(f.worker)).collect(),
         );
         prog.put_u64s(
             "fault_kinds",
-            self.faults.iter().map(|f| kind_code(f.fault)).collect(),
+            run.faults.iter().map(|f| kind_code(f.fault)).collect(),
         );
         prog.put_u64s(
             "fault_ticks",
-            self.faults
+            run.faults
                 .iter()
                 .map(|f| match f.fault {
                     DistFaultKind::StragglerDelay { ticks } => ticks,
@@ -778,11 +644,11 @@ impl<'a> Session<'a> {
         );
         prog.put_u64s(
             "fault_actions",
-            self.faults.iter().map(|f| action_code(f.action)).collect(),
+            run.faults.iter().map(|f| action_code(f.action)).collect(),
         );
         prog.put_u64s(
             "fault_world_after",
-            self.faults.iter().map(|f| f.world_after as u64).collect(),
+            run.faults.iter().map(|f| f.world_after as u64).collect(),
         );
         file.push("progress", prog);
         for replica in &self.replicas {
@@ -866,13 +732,6 @@ impl<'a> Session<'a> {
             );
         }
         let prog = file.section("progress")?;
-        let quality_epochs = prog.u64s("quality_epochs")?;
-        let quality_values = prog.f64s("quality_values")?;
-        if quality_epochs.len() != quality_values.len() {
-            return Err(CkptError::MetaMismatch {
-                what: "quality trace arrays disagree in length".into(),
-            });
-        }
         let world_epochs = prog.u64s("world_epochs")?;
         let world_sizes = prog.u64s("world_sizes")?;
         if world_epochs.len() != world_sizes.len() {
@@ -880,38 +739,27 @@ impl<'a> Session<'a> {
                 what: "world trace arrays disagree in length".into(),
             });
         }
-        let faults = decode_faults(prog)?;
-        let epochs_to_target = match prog.u64("epochs_to_target")? {
-            u64::MAX => None,
-            e => Some(e as usize),
-        };
         Ok(Session {
             factory,
-            seed,
-            initial_world: cfg.world,
             replicas,
             parked,
             consumed: vec![false; cfg.schedule.injections().len()],
             recoveries: prog.usize("recoveries")?,
-            epochs_run: prog.usize("epochs_run")?,
-            epochs_to_target,
-            quality_trace: quality_epochs
-                .iter()
-                .zip(quality_values)
-                .map(|(&e, &q)| (e as usize, q))
-                .collect(),
-            loss_trace: prog.f32s("loss_trace")?.1.to_vec(),
-            final_quality: prog.f64("final_quality")?,
-            world_trace: world_epochs
-                .iter()
-                .zip(world_sizes)
-                .map(|(&e, &w)| (e as usize, w as usize))
-                .collect(),
-            faults,
-            reshards: prog.usize("reshards")?,
-            logical_time: prog.u64("logical_time")?,
-            resumed_from: None,
-            aborted: prog.bool("aborted")?,
+            run: DistRunResult {
+                seed,
+                initial_world: cfg.world,
+                progress: PartialRun::from_state(prog)?,
+                world_trace: world_epochs
+                    .iter()
+                    .zip(world_sizes)
+                    .map(|(&e, &w)| (e as usize, w as usize))
+                    .collect(),
+                faults: decode_faults(prog)?,
+                reshards: prog.usize("reshards")?,
+                logical_time: prog.u64("logical_time")?,
+                resumed_from: None,
+                aborted: prog.bool("aborted")?,
+            },
         })
     }
 }
@@ -1020,8 +868,10 @@ pub fn run_data_parallel(
     cfg: &DistConfig,
 ) -> DistRunResult {
     let mut session = Session::fresh(factory, seed, cfg);
-    session.run_loop(target_met, params, cfg, None);
-    session.into_result()
+    session
+        .run_loop(target_met, params, cfg, None)
+        .expect("a run without a sink saves nothing");
+    session.run
 }
 
 /// Like [`run_data_parallel`], but resumes from the newest valid snapshot in
@@ -1031,7 +881,9 @@ pub fn run_data_parallel(
 /// Snapshots are cut at epoch boundaries only, so a resumed run re-enters
 /// its next epoch exactly where an uninterrupted run would, re-fires the
 /// same injections, and produces a [`DistRunResult`] that is
-/// `deterministic_eq` to the uninterrupted one.
+/// `deterministic_eq` to the uninterrupted one. Snapshots that fail
+/// validation are skipped in favor of older ones; a snapshot that cannot
+/// be *written* is an `Err`, exactly as in the sequential resumable runner.
 pub fn run_data_parallel_resumable(
     factory: &ReplicaFactory<'_>,
     seed: u64,
@@ -1039,25 +891,19 @@ pub fn run_data_parallel_resumable(
     params: &RunParams,
     cfg: &DistConfig,
     sink: &mut dyn CheckpointSink,
-) -> DistRunResult {
-    let mut resumed = None;
-    for &epoch in sink.epochs().iter().rev() {
-        if let Ok(Some(bytes)) = sink.load(epoch) {
-            if let Ok(session) = Session::from_snapshot(factory, seed, cfg, &bytes) {
-                resumed = Some((epoch, session));
-                break;
-            }
-        }
-    }
+) -> Result<DistRunResult, CkptError> {
+    let resumed = latest_valid(sink, false, |bytes| {
+        Session::from_snapshot(factory, seed, cfg, bytes)
+    });
     let mut session = match resumed {
         Some((epoch, mut session)) => {
-            session.resumed_from = Some(epoch);
+            session.run.resumed_from = Some(epoch);
             session
         }
         None => Session::fresh(factory, seed, cfg),
     };
-    session.run_loop(target_met, params, cfg, Some(sink));
-    session.into_result()
+    session.run_loop(target_met, params, cfg, Some(sink))?;
+    Ok(session.run)
 }
 
 #[cfg(test)]
@@ -1081,10 +927,10 @@ mod tests {
     fn static_group_trains_and_traces_world() {
         let cfg = DistConfig::with_world(2);
         let res = run_data_parallel(&factory, 7, &|_| false, &short(2), &cfg);
-        assert_eq!(res.epochs_run, 2);
+        assert_eq!(res.progress.epochs_run, 2);
         assert_eq!(res.world_trace, vec![(1, 2), (2, 2)]);
-        assert_eq!(res.loss_trace.len(), 2);
-        assert!(res.loss_trace.iter().all(|l| l.is_finite()));
+        assert_eq!(res.progress.loss_trace.len(), 2);
+        assert!(res.progress.loss_trace.iter().all(|l| l.is_finite()));
         assert!(!res.aborted);
         assert_eq!(res.reshards, 0);
         assert_eq!(res.logical_time, 2 * 6);
@@ -1106,7 +952,7 @@ mod tests {
         cfg.membership = MembershipPlan::empty().leave(2, 0);
         let res = run_data_parallel(&factory, 3, &|_| false, &short(4), &cfg);
         assert!(res.aborted);
-        assert_eq!(res.epochs_run, 1);
+        assert_eq!(res.progress.epochs_run, 1);
     }
 
     #[test]

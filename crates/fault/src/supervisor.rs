@@ -16,13 +16,12 @@
 //! time — so the recovery sequence itself replays identically.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
-use aibench::ckpt::{restore_run, snapshot_run, PartialRun};
+use aibench::ckpt::PartialRun;
 use aibench::registry::Benchmark;
 use aibench::runner::{RunConfig, RunResult};
+use aibench::session::TrainingSession;
 use aibench_ckpt::{CheckpointSink, CkptError, MemorySink};
-use aibench_models::Trainer;
 use aibench_tensor::Rng;
 
 use crate::inject;
@@ -203,16 +202,6 @@ impl SupervisedRun {
     }
 }
 
-/// What the loop does after a fault was handled.
-enum Flow {
-    /// The damage was repaired in place; the epoch proceeds.
-    Proceed,
-    /// State was rolled back; restart the loop at the (earlier) next epoch.
-    Restart,
-    /// The run is quarantined; stop.
-    Stop,
-}
-
 /// What one [`SupervisedSession::tick`] accomplished.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Tick {
@@ -251,19 +240,18 @@ pub enum Tick {
 /// The sink type is generic over *ownership*: the one-shot runners borrow
 /// the caller's sink (`&mut dyn CheckpointSink` is itself a sink), a
 /// served session owns a private `MemorySink`.
+///
+/// The session itself — trainer, progress record, cadence, snapshot and
+/// restore — is a [`TrainingSession`]; this type adds what supervision
+/// needs around it.
 pub struct SupervisedSession<'a, S: CheckpointSink> {
-    benchmark: &'a Benchmark,
-    seed: u64,
-    config: RunConfig,
+    session: TrainingSession<'a>,
     schedule: FaultSchedule,
     sup: SupervisorConfig,
     sink: S,
     rng: Rng,
     /// Which one-shot schedule entries have fired.
     fired: Vec<bool>,
-    /// `None` while parked: the trainer's state lives in the park snapshot.
-    trainer: Option<Box<dyn Trainer>>,
-    progress: PartialRun,
     faults: Vec<FaultEvent>,
     recoveries: usize,
     executed: usize,
@@ -275,12 +263,11 @@ pub struct SupervisedSession<'a, S: CheckpointSink> {
     save_retry: Option<(usize, usize)>,
     ckpt_abandoned: bool,
     completed: bool,
-    start: Instant,
 }
 
 impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
     /// Opens a supervised session at epoch 0. `sink` is the session's
-    /// rollback and park store. Installs `config.parallel` if set.
+    /// rollback and park store.
     pub fn new(
         benchmark: &'a Benchmark,
         seed: u64,
@@ -289,17 +276,10 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
         sup: SupervisorConfig,
         sink: S,
     ) -> Self {
-        if let Some(par) = config.parallel {
-            par.install();
-        }
-        let start = Instant::now();
         SupervisedSession {
-            benchmark,
-            seed,
+            session: TrainingSession::fresh(benchmark, seed, &config),
             rng: Rng::seed_from(schedule.seed),
             fired: vec![false; schedule.injections.len()],
-            trainer: Some(benchmark.build(seed)),
-            progress: PartialRun::fresh(),
             faults: Vec::new(),
             recoveries: 0,
             executed: 0,
@@ -310,25 +290,21 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
             save_retry: None,
             ckpt_abandoned: false,
             completed: false,
-            start,
-            config,
             schedule,
             sup,
             sink,
         }
     }
 
-    fn live_trainer(&self) -> &dyn Trainer {
-        self.trainer
-            .as_deref()
-            .expect("session is parked; unpark before use")
-    }
-    /// Handles one detected fault per the policy. `pre_step` is true when
-    /// the fault was caught before the training step consumed any state —
+    /// Handles one detected fault per the policy and returns what the tick
+    /// reports if the fault ends it: `None` when the damage was repaired in
+    /// place and the epoch proceeds, [`Tick::Recovering`] after a rollback,
+    /// [`Tick::Done`] after a quarantine. `pre_step` is true when the
+    /// fault was caught before the training step consumed any state —
     /// the only point where in-place gradient sanitizing is sound; the
     /// supervisor coerces sanitize (and misplaced save-retry) actions to a
     /// rollback everywhere else.
-    fn handle(&mut self, fault: TrainFault, pre_step: bool) -> Flow {
+    fn handle(&mut self, fault: TrainFault, pre_step: bool) -> Option<Tick> {
         let mut action = self.sup.policy.action_for(&fault);
         match action {
             RecoveryAction::SkipAndSanitize { .. } if !pre_step => {
@@ -342,12 +318,12 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
         if !matches!(action, RecoveryAction::Quarantine)
             && self.recoveries >= self.sup.max_recoveries
         {
-            return self.quarantine(fault);
+            return Some(self.quarantine(fault));
         }
         match action {
-            RecoveryAction::Quarantine => self.quarantine(fault),
+            RecoveryAction::Quarantine => Some(self.quarantine(fault)),
             RecoveryAction::SkipAndSanitize { clip_norm } => {
-                let zeroed = inject::sanitize_grads(self.live_trainer(), clip_norm);
+                let zeroed = inject::sanitize_grads(self.session.trainer(), clip_norm);
                 self.recoveries += 1;
                 self.faults.push(FaultEvent {
                     fault,
@@ -356,37 +332,39 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
                         clipped_to: clip_norm,
                     },
                 });
-                Flow::Proceed
+                None
             }
             RecoveryAction::Rollback { lr_factor } => {
                 self.rollback(fault, lr_factor, false);
-                Flow::Restart
+                Some(Tick::Recovering)
             }
             RecoveryAction::RollbackSerial { lr_factor } => {
                 aibench_parallel::set_threads(1);
                 self.degraded_serial = true;
                 self.rollback(fault, lr_factor, true);
-                Flow::Restart
+                Some(Tick::Recovering)
             }
             RecoveryAction::RetrySave { .. } => unreachable!("coerced to Rollback above"),
         }
     }
 
-    fn quarantine(&mut self, fault: TrainFault) -> Flow {
+    /// Ends the session on `fault`.
+    fn quarantine(&mut self, fault: TrainFault) -> Tick {
         self.faults.push(FaultEvent {
             fault: fault.clone(),
             action: ActionTaken::Quarantined,
         });
         self.quarantined = Some(fault);
-        Flow::Stop
+        self.completed = true;
+        Tick::Done
     }
 
-    /// Restores the newest valid snapshot (scratch if none survives),
-    /// scales the learning rate, and records the event. Snapshots that are
-    /// unreadable or fail their checksums are skipped in favor of older
-    /// ones — recovery never resumes from corrupt state. A scheduled
-    /// `LoadFail` injection makes the newest snapshot unreadable for this
-    /// rollback, forcing the fall-back path.
+    /// Rolls the session back to the newest valid snapshot (scratch if
+    /// none survives), scales the learning rate, and records the event.
+    /// Snapshots that are unreadable or fail their checksums are skipped
+    /// in favor of older ones — recovery never resumes from corrupt state.
+    /// A scheduled `LoadFail` injection makes the newest snapshot
+    /// unreadable for this rollback, forcing the fall-back path.
     fn rollback(&mut self, fault: TrainFault, lr_factor: f32, serial: bool) {
         let at_epoch = fault.epoch();
         let mut skip_newest = false;
@@ -400,39 +378,12 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
                 }
             }
         }
-        let mut restored: Option<(Box<dyn Trainer>, PartialRun, usize)> = None;
-        for (slot, &epoch) in self.sink.epochs().iter().rev().enumerate() {
-            if slot == 0 && skip_newest {
-                continue;
-            }
-            let Ok(Some(bytes)) = self.sink.load(epoch) else {
-                continue;
-            };
-            if let Ok((t, p)) = restore_run(self.benchmark, self.seed, &self.config, &bytes) {
-                restored = Some((t, p, epoch));
-                break;
-            }
-        }
-        let to_epoch = match restored {
-            Some((trainer, progress, epoch)) => {
-                self.trainer = Some(trainer);
-                self.progress = progress;
-                Some(epoch)
-            }
-            None => {
-                self.trainer = Some(self.benchmark.build(self.seed));
-                self.progress = PartialRun::fresh();
-                None
-            }
-        };
+        let to_epoch = self.session.rollback(&self.sink, skip_newest);
         // Restore reset the learning rate to the snapshotted value; apply
         // the reduction on top so the retried trajectory cools down.
         // Snapshots taken later bake the reduction in, so repeated
         // rollbacks compound.
-        self.trainer
-            .as_deref_mut()
-            .expect("rollback always leaves a live trainer")
-            .scale_lr(lr_factor);
+        self.session.trainer_mut().scale_lr(lr_factor);
         self.save_retry = None;
         self.recoveries += 1;
         self.faults.push(FaultEvent {
@@ -447,34 +398,28 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
 
     /// Saves a rollback snapshot when the cadence (or a pending retry) says
     /// so, turning save failures — injected or real — into checkpoint-I/O
-    /// faults with deterministic, logical-epoch backoff.
-    fn maybe_save(&mut self, epoch: usize, injected_fail: bool) -> Flow {
+    /// faults with deterministic, logical-epoch backoff. Returns like
+    /// [`handle`](Self::handle).
+    fn maybe_save(&mut self, epoch: usize, injected_fail: bool) -> Option<Tick> {
         if self.ckpt_abandoned || self.sup.snapshot_every == 0 {
-            return Flow::Proceed;
+            return None;
         }
         let due_cadence = epoch.is_multiple_of(self.sup.snapshot_every);
         let due_retry = self.save_retry.is_some_and(|(at, _)| epoch >= at);
         if !due_cadence && !due_retry {
-            return Flow::Proceed;
+            return None;
         }
-        let bytes = snapshot_run(
-            self.benchmark,
-            self.seed,
-            &self.config,
-            &self.progress,
-            self.live_trainer(),
-        );
         let saved = if injected_fail {
             Err(CkptError::Io {
                 op: "save".to_string(),
                 what: "injected sink failure".to_string(),
             })
         } else {
-            self.sink.save(epoch, &bytes)
+            self.session.checkpoint(&mut self.sink)
         };
         let Err(err) = saved else {
             self.save_retry = None;
-            return Flow::Proceed;
+            return None;
         };
         let fault = TrainFault::CheckpointIo {
             epoch,
@@ -488,7 +433,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
             return self.handle(fault, false);
         };
         if self.recoveries >= self.sup.max_recoveries {
-            return self.quarantine(fault);
+            return Some(self.quarantine(fault));
         }
         self.recoveries += 1;
         let attempt = self.save_retry.map_or(1, |(_, a)| a + 1);
@@ -513,19 +458,31 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
             });
             self.save_retry = Some((retry_epoch, attempt));
         }
-        Flow::Proceed
+        None
+    }
+
+    /// A panic caught mid-step or mid-evaluation leaves the trainer in an
+    /// unknown state: the only sound continuations are rollback or
+    /// quarantine (`handle` coerces sanitize away), so the slot is spent
+    /// either way.
+    fn kernel_panic(&mut self, epoch: usize, payload: &(dyn std::any::Any + Send)) -> Tick {
+        let fault = TrainFault::KernelPanic {
+            epoch,
+            message: inject::panic_message(payload),
+        };
+        self.handle(fault, false).unwrap_or(Tick::Recovering)
     }
 
     /// Spends one supervision slot: one epoch attempt, including scheduled
-    /// injections, sentinel checks, and at most one recovery action. The
-    /// body performs exactly one iteration of [`supervised_run`]'s loop,
-    /// so driving `tick` until [`Tick::Done`] reproduces it bit for bit.
+    /// injections, sentinel checks, and at most one recovery action —
+    /// one [`TrainingSession::step`], taken apart so each piece can be
+    /// guarded.
     ///
     /// # Panics
     ///
     /// Panics if the session is parked.
     pub fn tick(&mut self) -> Tick {
-        if self.completed || self.progress.epochs_run >= self.config.max_epochs {
+        if self.completed || self.session.finished() {
             self.completed = true;
             return Tick::Done;
         }
@@ -536,16 +493,13 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
         if self.degraded_serial {
             aibench_parallel::set_threads(1);
         }
-        let epoch = self.progress.epochs_run + 1;
+        let epoch = self.session.epochs_run() + 1;
         self.executed += 1;
         if self.executed > self.budget {
-            let fault = TrainFault::BudgetExhausted {
+            return self.quarantine(TrainFault::BudgetExhausted {
                 executed: self.executed,
                 budget: self.budget,
-            };
-            self.quarantine(fault);
-            self.completed = true;
-            return Tick::Done;
+            });
         }
 
         // Scheduled injections due this epoch. One-shot entries are
@@ -576,11 +530,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
                 | FaultKind::GradExplosion { .. }
                 | FaultKind::ParamNan
                 | FaultKind::ParamBitFlip { .. } => {
-                    inject::corrupt(
-                        self.trainer.as_deref().expect("session is parked"),
-                        &mut self.rng,
-                        inj.kind,
-                    );
+                    inject::corrupt(self.session.trainer(), &mut self.rng, inj.kind);
                 }
                 FaultKind::LossValue { value } => loss_override = Some(value),
                 FaultKind::KernelPanic => panic_due = true,
@@ -592,90 +542,47 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
 
         // Pre-step sentinels — run after injection so fresh damage is
         // caught before the optimizer consumes it.
-        if let Some(fault) = sentinel::check_params(self.live_trainer(), &self.sup.sentinels, epoch)
+        if let Some(fault) =
+            sentinel::check_params(self.session.trainer(), &self.sup.sentinels, epoch)
         {
-            match self.handle(fault, true) {
-                Flow::Proceed => {}
-                Flow::Restart => return Tick::Recovering,
-                Flow::Stop => {
-                    self.completed = true;
-                    return Tick::Done;
-                }
+            if let Some(tick) = self.handle(fault, true) {
+                return tick;
             }
         }
 
         // The guarded training step: panics anywhere inside the step —
         // including inside parallel kernel regions, which the worker
         // pool forwards to the caller — surface here as typed faults.
-        let step = {
-            let trainer = self.trainer.as_deref_mut().expect("session is parked");
-            catch_unwind(AssertUnwindSafe(|| {
-                if panic_due {
-                    inject::faulty_kernel(epoch);
-                }
-                trainer.train_epoch()
-            }))
-        };
+        let step = catch_unwind(AssertUnwindSafe(|| {
+            if panic_due {
+                inject::faulty_kernel(epoch);
+            }
+            self.session.train_next()
+        }));
         let loss = match step {
             Ok(loss) => loss_override.unwrap_or(loss),
-            Err(payload) => {
-                let fault = TrainFault::KernelPanic {
-                    epoch,
-                    message: inject::panic_message(&*payload),
-                };
-                // A panic mid-step leaves the trainer in an unknown
-                // state: the only sound continuations are rollback or
-                // quarantine (`handle` coerces sanitize away).
-                return match self.handle(fault, false) {
-                    Flow::Proceed | Flow::Restart => Tick::Recovering,
-                    Flow::Stop => {
-                        self.completed = true;
-                        Tick::Done
-                    }
-                };
-            }
+            Err(payload) => return self.kernel_panic(epoch, &*payload),
         };
 
         // Post-step loss sentinels (checked against the pre-push trace).
-        let loss_fault =
-            sentinel::check_loss(loss, epoch, &self.progress.loss_trace, &self.sup.sentinels);
-        self.progress.loss_trace.push(loss);
-        self.progress.epochs_run = epoch;
+        let loss_fault = sentinel::check_loss(
+            loss,
+            epoch,
+            &self.session.progress().loss_trace,
+            &self.sup.sentinels,
+        );
+        let eval_due = self.session.record_loss(loss);
         if let Some(fault) = loss_fault {
-            match self.handle(fault, false) {
-                Flow::Proceed => {}
-                Flow::Restart => return Tick::Recovering,
-                Flow::Stop => {
-                    self.completed = true;
-                    return Tick::Done;
-                }
+            if let Some(tick) = self.handle(fault, false) {
+                return tick;
             }
         }
 
-        // Evaluation — same cadence as the plain runner, so an empty
-        // schedule reproduces its trajectory exactly.
-        let mut done = false;
         let mut quality = None;
-        if epoch.is_multiple_of(self.config.eval_every.max(1)) || epoch == self.config.max_epochs {
-            let evaluated = {
-                let trainer = self.trainer.as_deref_mut().expect("session is parked");
-                catch_unwind(AssertUnwindSafe(|| trainer.evaluate()))
-            };
-            let q = match evaluated {
+        if eval_due {
+            let q = match catch_unwind(AssertUnwindSafe(|| self.session.evaluate())) {
                 Ok(q) => q,
-                Err(payload) => {
-                    let fault = TrainFault::KernelPanic {
-                        epoch,
-                        message: inject::panic_message(&*payload),
-                    };
-                    return match self.handle(fault, false) {
-                        Flow::Proceed | Flow::Restart => Tick::Recovering,
-                        Flow::Stop => {
-                            self.completed = true;
-                            Tick::Done
-                        }
-                    };
-                }
+                Err(payload) => return self.kernel_panic(epoch, &*payload),
             };
             // A frozen evaluation keeps reporting the first quality
             // observed under the freeze — a stalled-epoch simulation.
@@ -686,55 +593,36 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
             } else {
                 q
             };
-            self.progress.quality_trace.push((epoch, q));
-            self.progress.final_quality = q;
+            self.session.record_quality(q);
             quality = Some(q);
-            if self.benchmark.target.met_by(q) {
-                self.progress.epochs_to_target = Some(epoch);
-                done = true;
-            }
-            if !done {
-                if let Some(window) = self.sup.sentinels.stall_window {
-                    if let Some(fault) = sentinel::check_stall(
-                        &self.benchmark.target,
-                        &self.progress.quality_trace,
-                        window,
-                        epoch,
-                    ) {
-                        match self.handle(fault, false) {
-                            Flow::Proceed => {}
-                            Flow::Restart => return Tick::Recovering,
-                            Flow::Stop => {
-                                self.completed = true;
-                                return Tick::Done;
-                            }
-                        }
+            if self.session.converged() {
+                self.completed = true;
+            } else if let Some(window) = self.sup.sentinels.stall_window {
+                if let Some(fault) = sentinel::check_stall(
+                    &self.session.benchmark().target,
+                    &self.session.progress().quality_trace,
+                    window,
+                    epoch,
+                ) {
+                    if let Some(tick) = self.handle(fault, false) {
+                        return tick;
                     }
                 }
             }
         }
-        if done {
-            self.completed = true;
-            return Tick::Progressed {
-                epoch,
-                loss,
-                quality,
-            };
-        }
 
         // Rollback snapshot, after all of the epoch's checks passed —
-        // a snapshot is only ever taken of state the sentinels cleared.
-        match self.maybe_save(epoch, save_fail) {
-            Flow::Proceed => Tick::Progressed {
-                epoch,
-                loss,
-                quality,
-            },
-            Flow::Restart => Tick::Recovering,
-            Flow::Stop => {
-                self.completed = true;
-                Tick::Done
+        // a snapshot is only ever taken of state the sentinels cleared,
+        // and never of a converged session's final epoch.
+        if !self.completed {
+            if let Some(tick) = self.maybe_save(epoch, save_fail) {
+                return tick;
             }
+        }
+        Tick::Progressed {
+            epoch,
+            loss,
+            quality,
         }
     }
 
@@ -745,17 +633,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
     /// position, recovery counters, the fault log — stays in the struct,
     /// so an unparked session continues bitwise identically.
     pub fn park(&mut self) -> Result<usize, CkptError> {
-        let epoch = self.progress.epochs_run;
-        let bytes = snapshot_run(
-            self.benchmark,
-            self.seed,
-            &self.config,
-            &self.progress,
-            self.live_trainer(),
-        );
-        self.sink.save(epoch, &bytes)?;
-        self.trainer = None;
-        Ok(epoch)
+        self.session.park(&mut self.sink)
     }
 
     /// The park transition without a park snapshot, for when the park
@@ -766,9 +644,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
     /// re-runs the gap, which the rollback contract makes
     /// bitwise-neutral.
     pub fn park_without_snapshot(&mut self) -> usize {
-        let epoch = self.progress.epochs_run;
-        self.trainer = None;
-        epoch
+        self.session.park_without_snapshot()
     }
 
     /// Unparks the session from the newest valid snapshot in its sink,
@@ -776,39 +652,24 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
     /// survived validation: the session restarted from scratch and the
     /// parked progress is lost (work the scheduler will have to re-run).
     pub fn unpark(&mut self) -> Option<usize> {
-        for &epoch in self.sink.epochs().iter().rev() {
-            let Ok(Some(bytes)) = self.sink.load(epoch) else {
-                continue;
-            };
-            if let Ok((t, p)) = restore_run(self.benchmark, self.seed, &self.config, &bytes) {
-                self.trainer = Some(t);
-                self.progress = p;
-                return Some(epoch);
-            }
-        }
-        self.trainer = Some(self.benchmark.build(self.seed));
-        self.progress = PartialRun::fresh();
-        None
+        self.session.unpark(&self.sink)
     }
 
     /// Whether the session is parked (trainer dropped; state lives in the
     /// park snapshot).
     pub fn is_parked(&self) -> bool {
-        self.trainer.is_none()
+        self.session.is_parked()
     }
 
     /// Whether the session is over: converged, missed its target with no
     /// epochs left, or quarantined.
     pub fn finished(&self) -> bool {
-        self.completed
-            || self.quarantined.is_some()
-            || self.progress.epochs_to_target.is_some()
-            || self.progress.epochs_run >= self.config.max_epochs
+        self.completed || self.session.finished()
     }
 
     /// Epochs committed in the surviving trajectory.
     pub fn epochs_run(&self) -> usize {
-        self.progress.epochs_run
+        self.session.epochs_run()
     }
 
     /// Epochs executed including recovery re-runs.
@@ -818,7 +679,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
 
     /// The accumulated progress.
     pub fn progress(&self) -> &PartialRun {
-        &self.progress
+        self.session.progress()
     }
 
     /// Every fault detected so far, with the action taken.
@@ -844,17 +705,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
 
     /// Closes the session into its [`SupervisedRun`] record.
     pub fn into_run(self) -> SupervisedRun {
-        let result = RunResult {
-            code: self.benchmark.id.code().to_string(),
-            seed: self.seed,
-            epochs_run: self.progress.epochs_run,
-            epochs_to_target: self.progress.epochs_to_target,
-            quality_trace: self.progress.quality_trace,
-            loss_trace: self.progress.loss_trace,
-            final_quality: self.progress.final_quality,
-            wall_seconds: self.start.elapsed().as_secs_f64(),
-            resumed_from: None,
-        };
+        let result = self.session.result();
         let outcome = match self.quarantined {
             Some(fault) => Outcome::Quarantined { fault },
             None if result.converged() => {

@@ -19,9 +19,13 @@
 //!
 //! With the `sanitize` feature **disabled** every function here is an empty
 //! `#[inline]` stub and the tracker costs literally nothing. With the
-//! feature enabled but recording **off** (the default), the cost is one
-//! relaxed atomic load per region plus a thread-local push/pop per kernel
-//! scope. Recording is only ever turned on by an auditing harness.
+//! feature enabled but recording **off** (the default), the cost is two
+//! thread-local reads per region plus a thread-local push/pop per kernel
+//! scope. Recording is only ever turned on by an auditing harness, and it
+//! belongs to the thread that called [`start_recording`]: regions that
+//! thread opens (and regions nested in their chunks, on whichever worker
+//! runs them) are recorded; regions other threads open at the same time
+//! are not.
 //!
 //! # Declaring a kernel's access set
 //!
@@ -157,15 +161,16 @@ mod imp {
     use super::{Access, AccessKind, BufId, EffectReport, RegionEffects};
     use std::cell::{Cell, RefCell};
     use std::ops::Range;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
 
-    static RECORDING: AtomicBool = AtomicBool::new(false);
     static RECORDER: Mutex<EffectReport> = Mutex::new(EffectReport {
         regions: Vec::new(),
     });
 
     thread_local! {
+        /// Whether this thread called [`start_recording`] and has not yet
+        /// taken the report.
+        static RECORDING: Cell<bool> = const { Cell::new(false) };
         /// `(region index, chunk index)` of the chunk the current thread is
         /// executing, if any. Set by the parallel primitives around each
         /// chunk call; saved/restored across nested regions.
@@ -179,23 +184,23 @@ mod imp {
         true
     }
 
-    /// Whether effect recording is currently on.
+    /// Whether the calling thread is recording.
     #[inline]
     pub fn recording() -> bool {
-        RECORDING.load(Ordering::Relaxed)
+        RECORDING.with(Cell::get)
     }
 
     /// Starts a recording session, discarding any prior unclaimed report.
     pub fn start_recording() {
         let mut rec = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
         rec.regions.clear();
-        RECORDING.store(true, Ordering::Relaxed);
+        RECORDING.with(|r| r.set(true));
     }
 
     /// Stops recording and returns everything captured since
     /// [`start_recording`].
     pub fn take_report() -> EffectReport {
-        RECORDING.store(false, Ordering::Relaxed);
+        RECORDING.with(|r| r.set(false));
         let mut rec = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
         std::mem::take(&mut *rec)
     }
@@ -220,7 +225,9 @@ mod imp {
         KernelScope { _private: () }
     }
 
-    /// Opens a region record; `None` when recording is off.
+    /// Opens a region record; `None` unless this thread is recording or
+    /// is inside a chunk of a recorded region (a nested region opened on a
+    /// pool worker belongs to the recording that owns its parent).
     #[inline]
     pub(crate) fn open_region(
         primitive: &'static str,
@@ -229,11 +236,11 @@ mod imp {
         threads: usize,
         engages: bool,
     ) -> Option<usize> {
-        if !recording() {
+        let parent = CURRENT.with(|c| c.get()).map(|(r, _)| r);
+        if parent.is_none() && !recording() {
             return None;
         }
         let label = LABELS.with(|l| l.borrow().last().copied());
-        let parent = CURRENT.with(|c| c.get()).map(|(r, _)| r);
         let mut rec = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
         let local = label.unwrap_or(primitive);
         let kernel = match parent.and_then(|r| rec.regions.get(r)) {
@@ -320,9 +327,6 @@ mod imp {
     /// happens inside a recorded chunk. Called by `aibench-tensor`'s `Rng`.
     #[inline]
     pub fn note_rng_draw() {
-        if !recording() {
-            return;
-        }
         let Some((region, _)) = CURRENT.with(|c| c.get()) else {
             return;
         };
@@ -417,8 +421,8 @@ pub(crate) use imp::{in_chunk, open_region, record_write_raw};
 mod tests {
     use super::*;
     use crate::{parallel_reduce, parallel_slice_mut, set_threads};
-    // Recording is process-global and captures every region in the
-    // process, so these serialize with the crate-root tests too.
+    // There is one report buffer and one pool per process, so recordings
+    // serialize with each other and with the crate-root tests' `set_threads`.
     use crate::tests::LOCK;
 
     fn recorded<R>(threads: usize, f: impl FnOnce() -> R) -> (R, EffectReport) {
@@ -556,6 +560,45 @@ mod tests {
         let report = take_report();
         set_threads(1);
         assert!(report.regions.is_empty());
+    }
+
+    #[test]
+    fn regions_of_other_threads_stay_out_of_the_report() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let stop = AtomicBool::new(false);
+        let (_, report) = recorded(2, || {
+            std::thread::scope(|s| {
+                // A sibling test training beside the audit: it opens regions
+                // on the same pool the whole time the recording is on.
+                s.spawn(|| {
+                    let _scope = kernel_scope("noise");
+                    let mut data = vec![0.0f32; 64];
+                    while !stop.load(Ordering::Relaxed) {
+                        parallel_slice_mut(&mut data, 8, |_, out| out.fill(1.0));
+                    }
+                });
+                let _scope = kernel_scope("recorded");
+                let mut data = vec![0.0f32; 64];
+                for _ in 0..200 {
+                    parallel_slice_mut(&mut data, 8, |_, out| {
+                        // Nested regions open on whichever worker runs the
+                        // chunk and still belong to this recording.
+                        let mut tmp = [0.0f32; 4];
+                        parallel_slice_mut(&mut tmp, 2, |_, t| t.fill(1.0));
+                        out.fill(tmp[0]);
+                    });
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(report.regions.len(), 200 * (1 + 8));
+        assert!(
+            report
+                .regions
+                .iter()
+                .all(|r| r.kernel.starts_with("recorded")),
+            "a non-recording thread's regions leaked into the report"
+        );
     }
 
     #[test]

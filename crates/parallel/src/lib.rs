@@ -646,8 +646,8 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Tests mutate the global pool (and, in [`effects`], the global
-    /// recorder, which sees every region in the process); serialize them.
+    /// Tests mutate the global pool (and, in [`effects`], share the one
+    /// report buffer); serialize them.
     pub(crate) static LOCK: Mutex<()> = Mutex::new(());
 
     fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {

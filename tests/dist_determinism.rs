@@ -20,7 +20,7 @@ use std::sync::Mutex;
 use aibench::distributed::run_distributed_to_quality;
 use aibench::registry::{Benchmark, Registry};
 use aibench::runner::{run_to_quality, RunConfig};
-use aibench_ckpt::MemorySink;
+use aibench_ckpt::{CheckpointSink, CkptError, FailingSink, MemorySink};
 use aibench_dist::{
     run_data_parallel_resumable, DistConfig, DistFaultKind, DistSchedule, MembershipPlan, RunParams,
 };
@@ -60,8 +60,8 @@ fn same_seed_and_world_is_bitwise_identical_across_thread_counts() {
                 expect.dist.deterministic_eq(&report.dist),
                 "{threads}-thread distributed run differs from serial: \
                  quality {:.9} vs {:.9}",
-                expect.dist.final_quality,
-                report.dist.final_quality
+                expect.result.final_quality,
+                report.result.final_quality
             ),
         }
     }
@@ -72,21 +72,28 @@ fn same_seed_and_world_is_bitwise_identical_across_thread_counts() {
 fn single_worker_group_is_bitwise_identical_to_the_sequential_runner() {
     let registry = Registry::aibench();
     let b = probe(&registry);
-    let config = cfg(30);
-    let plain = run_to_quality(b, 1, &config);
-    let report =
-        run_distributed_to_quality(b, 1, &config, &DistConfig::with_world(1)).expect("supported");
-    assert!(
-        plain.deterministic_eq(&report.result),
-        "1-worker group diverged from the sequential runner: \
-         {} epoch(s) to {:.9} vs {} epoch(s) to {:.9}",
-        plain.epochs_run,
-        plain.final_quality,
-        report.result.epochs_run,
-        report.result.final_quality
-    );
-    assert!(report.dist.faults.is_empty());
-    assert_eq!(report.dist.reshards, 0);
+    // Seed 1 converges after a few epochs; seed 2 trains to each of the
+    // short caps, so every eval cadence plays out in full.
+    for (seed, max_epochs, eval_every) in [(1, 30, 1), (2, 5, 2), (2, 5, 3), (2, 4, 0), (2, 7, 4)] {
+        let config = RunConfig {
+            eval_every,
+            ..cfg(max_epochs)
+        };
+        let plain = run_to_quality(b, seed, &config);
+        let report = run_distributed_to_quality(b, seed, &config, &DistConfig::with_world(1))
+            .expect("supported");
+        assert!(
+            plain.deterministic_eq(&report.result),
+            "1-worker group diverged from the sequential runner at ({max_epochs}, {eval_every}): \
+             {} epoch(s) to {:.9} vs {} epoch(s) to {:.9}",
+            plain.epochs_run,
+            plain.final_quality,
+            report.result.epochs_run,
+            report.result.final_quality
+        );
+        assert!(report.dist.faults.is_empty());
+        assert_eq!(report.dist.reshards, 0);
+    }
 }
 
 #[test]
@@ -155,7 +162,7 @@ fn elastic_membership_resumes_bitwise_identically_from_snapshot() {
 
     let mut scratch = MemorySink::new();
     let uninterrupted =
-        run_data_parallel_resumable(&factory, 3, &never, &full, &dist, &mut scratch);
+        run_data_parallel_resumable(&factory, 3, &never, &full, &dist, &mut scratch).unwrap();
     assert_eq!(
         uninterrupted.world_trace,
         vec![
@@ -178,20 +185,53 @@ fn elastic_membership_resumes_bitwise_identically_from_snapshot() {
         ..full
     };
     let mut sink = MemorySink::new();
-    let halted = run_data_parallel_resumable(&factory, 3, &never, &half, &dist, &mut sink);
-    assert_eq!(halted.epochs_run, 4);
+    let halted = run_data_parallel_resumable(&factory, 3, &never, &half, &dist, &mut sink).unwrap();
+    assert_eq!(halted.progress.epochs_run, 4);
     assert_eq!(halted.resumed_from, None);
     assert_eq!(halted.world_trace, uninterrupted.world_trace[..4]);
 
-    let resumed = run_data_parallel_resumable(&factory, 3, &never, &full, &dist, &mut sink);
+    let resumed =
+        run_data_parallel_resumable(&factory, 3, &never, &full, &dist, &mut sink).unwrap();
     assert_eq!(resumed.resumed_from, Some(4));
     assert!(
         uninterrupted.deterministic_eq(&resumed),
         "resumed run diverged from the uninterrupted one: \
          quality {:.9} vs {:.9}, world {:?} vs {:?}",
-        uninterrupted.final_quality,
-        resumed.final_quality,
+        uninterrupted.progress.final_quality,
+        resumed.progress.final_quality,
         uninterrupted.world_trace,
         resumed.world_trace
     );
+}
+
+#[test]
+fn a_failed_group_snapshot_save_is_an_error_not_a_success() {
+    // The sequential resumable runner's rule, held by the group too:
+    // durability was requested and lost, which must not look like success.
+    let registry = Registry::aibench();
+    let b = probe(&registry);
+    let factory = |s: u64| {
+        b.build_data_parallel(s)
+            .expect("DC-AI-C15 is data-parallel")
+    };
+    let params = RunParams {
+        max_epochs: 3,
+        eval_every: 1,
+        snapshot_every: 1,
+    };
+    let mut sink = FailingSink::new(MemorySink::new()).fail_save_at(2);
+    let outcome = run_data_parallel_resumable(
+        &factory,
+        3,
+        &|_| false,
+        &params,
+        &DistConfig::with_world(2),
+        &mut sink,
+    );
+    assert!(
+        matches!(outcome, Err(CkptError::Io { .. })),
+        "a lost snapshot passed for success"
+    );
+    assert_eq!(sink.saves_failed, 1);
+    assert_eq!(sink.epochs(), vec![1], "the run stopped at the failed save");
 }

@@ -45,18 +45,23 @@ fn empty_schedule_is_bitwise_identical_to_plain_runner() {
     let sup = SupervisorConfig::default();
     for code in ["DC-AI-C15", "DC-AI-C16"] {
         let b = registry.get(code).unwrap();
-        let config = cfg(6);
-        let plain = run_to_quality(b, 1, &config);
-        let supervised = supervised_run(b, 1, &config, &FaultSchedule::empty(), &sup);
-        assert!(
-            plain.deterministic_eq(&supervised.result),
-            "{code}: supervision changed the trajectory"
-        );
-        assert_eq!(supervised.fault_signature(), "clean");
-        assert!(
-            supervised.outcome.kind() == "converged"
-                || supervised.outcome.kind() == "missed-target"
-        );
+        for (max_epochs, eval_every) in [(6, 1), (5, 2), (5, 3), (4, 0), (7, 4)] {
+            let config = RunConfig {
+                eval_every,
+                ..cfg(max_epochs)
+            };
+            let plain = run_to_quality(b, 2, &config);
+            let supervised = supervised_run(b, 2, &config, &FaultSchedule::empty(), &sup);
+            assert!(
+                plain.deterministic_eq(&supervised.result),
+                "{code} at ({max_epochs}, {eval_every}): supervision changed the trajectory"
+            );
+            assert_eq!(supervised.fault_signature(), "clean");
+            assert!(
+                supervised.outcome.kind() == "converged"
+                    || supervised.outcome.kind() == "missed-target"
+            );
+        }
     }
 }
 

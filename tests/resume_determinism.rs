@@ -158,3 +158,63 @@ fn resumed_trainer_weights_match_uninterrupted_training() {
         "weights diverged after snapshot/restore mid-run"
     );
 }
+
+#[test]
+fn one_progress_codec_reads_back_identically_from_every_container() {
+    use aibench::ckpt::{restore_run, snapshot_run, PartialRun};
+    use aibench::runner::RunResult;
+    use aibench_ckpt::{SnapshotFile, State};
+    use aibench_dist::{run_data_parallel_resumable, DistConfig, RunParams};
+
+    let registry = Registry::aibench();
+    let b = registry.get("DC-AI-C15").unwrap();
+    let config = RunConfig {
+        eval_every: 2,
+        ..cfg(2, 1)
+    };
+
+    // Two records cut by a data-parallel group: after epoch 1 nothing has
+    // evaluated (NaN final quality, no convergence epoch); after epoch 2
+    // the trace holds one quality.
+    let factory = |s: u64| b.build_data_parallel(s).expect("data-parallel");
+    let params = RunParams {
+        max_epochs: config.max_epochs,
+        eval_every: config.eval_every,
+        snapshot_every: config.checkpoint_every,
+    };
+    let mut group_sink = MemorySink::new();
+    let dist = DistConfig::with_world(2);
+    run_data_parallel_resumable(&factory, 3, &|_| false, &params, &dist, &mut group_sink).unwrap();
+
+    let trainer = b.build(3);
+    for epoch in [1, 2] {
+        let group = SnapshotFile::from_bytes(&group_sink.load(epoch).unwrap().unwrap()).unwrap();
+        let group_section = group.section("progress").unwrap();
+        let record = PartialRun::from_state(group_section).unwrap();
+        assert_eq!(record.epochs_run, epoch);
+        assert_eq!(record.final_quality.is_nan(), epoch == 1);
+        assert_eq!(record.epochs_to_target, None);
+        let mut encoded = State::new();
+        record.put_state(&mut encoded);
+
+        // A run snapshot's progress section is exactly the shared encoding.
+        let bytes = snapshot_run(b, 3, &config, &record, trainer.as_ref());
+        let file = SnapshotFile::from_bytes(&bytes).unwrap();
+        assert_eq!(file.section("progress").unwrap(), &encoded);
+        let (_, from_snapshot) = restore_run(b, 3, &config, &bytes).unwrap();
+        assert!(record.bitwise_eq(&from_snapshot));
+
+        // A `RunResult` on the wire and the group snapshot carry the same
+        // entries among their own.
+        let wire = RunResult::from_progress("DC-AI-C15", 3, record.clone(), 0.5, None).to_state();
+        for (key, value) in encoded.iter() {
+            assert_eq!(wire.iter().find(|(k, _)| *k == key), Some((key, value)));
+            assert_eq!(
+                group_section.iter().find(|(k, _)| *k == key),
+                Some((key, value))
+            );
+        }
+        assert!(record.bitwise_eq(&PartialRun::from_state(&wire).unwrap()));
+        assert!(record.bitwise_eq(&RunResult::from_state(&wire).unwrap().progress()));
+    }
+}
