@@ -3,7 +3,7 @@
 use std::rc::Rc;
 
 use crate::graph::{Graph, Var};
-use aibench_tensor::ops::{batch_matmul, matmul};
+use aibench_tensor::ops::{batch_matmul, batch_matmul_layout, matmul, matmul_layout, Layout};
 
 impl Graph {
     /// Matrix product `[m, k] x [k, n] -> [m, n]`.
@@ -18,8 +18,15 @@ impl Graph {
         );
         let out = matmul(&va, &vb);
         self.op(out, &[a, b], move |g, gm| {
-            gm.accumulate(a, matmul(g, &vb.t()));
-            gm.accumulate(b, matmul(&va.t(), g));
+            // dA = g x B^T and dB = A^T x g, the transposes read in place.
+            gm.accumulate(
+                a,
+                matmul_layout(g, Layout::RowMajor, &vb, Layout::Transposed),
+            );
+            gm.accumulate(
+                b,
+                matmul_layout(&va, Layout::Transposed, g, Layout::RowMajor),
+            );
         })
     }
 
@@ -35,8 +42,14 @@ impl Graph {
         );
         let out = batch_matmul(&va, &vb);
         self.op(out, &[a, b], move |g, gm| {
-            gm.accumulate(a, batch_matmul(g, &vb.permute(&[0, 2, 1])));
-            gm.accumulate(b, batch_matmul(&va.permute(&[0, 2, 1]), g));
+            gm.accumulate(
+                a,
+                batch_matmul_layout(g, Layout::RowMajor, &vb, Layout::Transposed),
+            );
+            gm.accumulate(
+                b,
+                batch_matmul_layout(&va, Layout::Transposed, g, Layout::RowMajor),
+            );
         })
     }
 

@@ -37,23 +37,25 @@ impl Graph {
         assert_eq!(vb.shape(), &[c], "batch_norm2d: beta must be [{c}]");
         let m = (n * h * w) as f32;
 
+        // One `h*w` plane per `(sample, channel)`: every loop below walks
+        // whole plane slices, in the same element order as flat indexing.
+        let plane = h * w;
+        let planes = move |s: usize, ci: usize| (s * c + ci) * plane..(s * c + ci + 1) * plane;
         let mut mean = vec![0.0f32; c];
         let mut var = vec![0.0f32; c];
         for s in 0..n {
             for (ci, mv) in mean.iter_mut().enumerate() {
-                let base = (s * c + ci) * h * w;
-                for i in 0..h * w {
-                    *mv += vx.data()[base + i];
+                for &v in &vx.data()[planes(s, ci)] {
+                    *mv += v;
                 }
             }
         }
         mean.iter_mut().for_each(|v| *v /= m);
         for s in 0..n {
-            for ci in 0..c {
-                let base = (s * c + ci) * h * w;
-                for i in 0..h * w {
-                    let d = vx.data()[base + i] - mean[ci];
-                    var[ci] += d * d;
+            for (ci, vv) in var.iter_mut().enumerate() {
+                for &v in &vx.data()[planes(s, ci)] {
+                    let d = v - mean[ci];
+                    *vv += d * d;
                 }
             }
         }
@@ -64,11 +66,15 @@ impl Graph {
         let mut y = Tensor::zeros(vx.shape());
         for s in 0..n {
             for ci in 0..c {
-                let base = (s * c + ci) * h * w;
-                for i in 0..h * w {
-                    let xh = (vx.data()[base + i] - mean[ci]) * inv_std[ci];
-                    xhat.data_mut()[base + i] = xh;
-                    y.data_mut()[base + i] = vg.data()[ci] * xh + vb.data()[ci];
+                let (mean_c, inv_std_c) = (mean[ci], inv_std[ci]);
+                let (gamma_c, beta_c) = (vg.data()[ci], vb.data()[ci]);
+                let x_plane = &vx.data()[planes(s, ci)];
+                let xhat_plane = &mut xhat.data_mut()[planes(s, ci)];
+                let y_plane = &mut y.data_mut()[planes(s, ci)];
+                for ((&xv, xh_out), y_out) in x_plane.iter().zip(xhat_plane).zip(y_plane) {
+                    let xh = (xv - mean_c) * inv_std_c;
+                    *xh_out = xh;
+                    *y_out = gamma_c * xh + beta_c;
                 }
             }
         }
@@ -84,13 +90,13 @@ impl Graph {
             let mut sum_dxhat_xhat = vec![0.0f32; c];
             for s in 0..n {
                 for ci in 0..c {
-                    let base = (s * c + ci) * h * w;
-                    for i in 0..h * w {
-                        let gi = g.data()[base + i];
-                        let xh = xhat_bw.data()[base + i];
+                    let gamma_c = vg.data()[ci];
+                    let g_plane = &g.data()[planes(s, ci)];
+                    let xhat_plane = &xhat_bw.data()[planes(s, ci)];
+                    for (&gi, &xh) in g_plane.iter().zip(xhat_plane) {
                         dgamma[ci] += gi * xh;
                         dbeta[ci] += gi;
-                        let dxh = gi * vg.data()[ci];
+                        let dxh = gi * gamma_c;
                         sum_dxhat[ci] += dxh;
                         sum_dxhat_xhat[ci] += dxh * xh;
                     }
@@ -99,13 +105,14 @@ impl Graph {
             let mut gx = Tensor::zeros(xhat_bw.shape());
             for s in 0..n {
                 for ci in 0..c {
-                    let base = (s * c + ci) * h * w;
-                    for i in 0..h * w {
-                        let gi = g.data()[base + i];
-                        let xh = xhat_bw.data()[base + i];
-                        let dxh = gi * vg.data()[ci];
-                        gx.data_mut()[base + i] =
-                            inv_std[ci] * (dxh - sum_dxhat[ci] / m - xh * sum_dxhat_xhat[ci] / m);
+                    let (gamma_c, inv_std_c) = (vg.data()[ci], inv_std[ci]);
+                    let (sum_c, sum_xhat_c) = (sum_dxhat[ci], sum_dxhat_xhat[ci]);
+                    let g_plane = &g.data()[planes(s, ci)];
+                    let xhat_plane = &xhat_bw.data()[planes(s, ci)];
+                    let gx_plane = &mut gx.data_mut()[planes(s, ci)];
+                    for ((&gi, &xh), out) in g_plane.iter().zip(xhat_plane).zip(gx_plane) {
+                        let dxh = gi * gamma_c;
+                        *out = inv_std_c * (dxh - sum_c / m - xh * sum_xhat_c / m);
                     }
                 }
             }

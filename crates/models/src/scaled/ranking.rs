@@ -6,7 +6,8 @@ use aibench_autograd::{Graph, Param};
 use aibench_data::metrics::precision_at_k;
 use aibench_data::synth::RankingDataset;
 use aibench_nn::{Adam, Optimizer};
-use aibench_tensor::{ops::matmul, Rng, Tensor};
+use aibench_tensor::ops::{matmul_layout, Layout};
+use aibench_tensor::{Rng, Tensor};
 
 use crate::Trainer;
 
@@ -66,7 +67,12 @@ impl MfRanker {
 
     /// Full score matrix `[users, items]`.
     fn scores(&self) -> Tensor {
-        matmul(&self.users.value(), &self.items.value().t())
+        matmul_layout(
+            &self.users.value(),
+            Layout::RowMajor,
+            &self.items.value(),
+            Layout::Transposed,
+        )
     }
 }
 

@@ -28,6 +28,7 @@ mod ckpt;
 mod rng;
 mod shape;
 mod tensor;
+mod walk;
 
 pub mod ops;
 

@@ -5,6 +5,15 @@
 //! convolution (used by the GAN generators and decoder networks), exactly as
 //! cuDNN reuses its `wgrad`/`dgrad` engines.
 //!
+//! No kernel here copies a transpose: the weight gradient multiplies by the
+//! im2col matrix transposed, the input gradient by the filter bank
+//! transposed, and both hand the GEMM the buffer they have with
+//! [`Layout::Transposed`]. The unfold itself moves spans, not elements:
+//! for one kernel tap the in-bounds output positions along an axis are a
+//! single range (`tap_span`), so `im2col` copies — and `col2im`
+//! accumulates — whole row segments, and what lies outside the range is
+//! padding that is never visited.
+//!
 //! Forward and backward-input parallelize over samples (disjoint output
 //! blocks; a single-sample batch instead parallelizes the inner GEMM over
 //! out-channel rows). Backward-weight is a reduction over samples and uses
@@ -14,7 +23,8 @@
 
 use aibench_parallel::effects;
 
-use super::microkernel::{gemm_flops, gemm_into};
+use super::microkernel::{gemm_flops, gemm_into, Layout, Mat};
+use crate::walk::copy_strided;
 use crate::Tensor;
 
 /// How [`conv2d`] lowers a given geometry.
@@ -89,7 +99,26 @@ impl Default for Conv2dArgs {
     }
 }
 
+/// The output positions along one spatial axis whose input position
+/// `o * stride + tap - pad` lands inside `0..extent` for kernel tap `tap`,
+/// clamped to `0..out`. Padding only ever cuts a prefix and a suffix off an
+/// axis, so the valid positions are one span: computed once per tap, it
+/// replaces a bounds test per output element.
+fn tap_span(tap: usize, extent: usize, out: usize, args: Conv2dArgs) -> std::ops::Range<usize> {
+    let lo = args.pad.saturating_sub(tap).div_ceil(args.stride);
+    let hi = (extent + args.pad)
+        .checked_sub(tap + 1)
+        .map_or(0, |last| last / args.stride + 1)
+        .min(out);
+    lo.min(hi)..hi
+}
+
 /// Unfolds one NCHW sample into an im2col matrix `[c*kh*kw, ho*wo]`.
+///
+/// Each `(ci, ki, kj)` tap fills one matrix row from whole input-row spans
+/// (see [`tap_span`]): a `copy_from_slice` per output row at stride 1, a
+/// fixed-step gather otherwise. Positions outside the spans are padding and
+/// keep the buffer's zero.
 #[allow(clippy::too_many_arguments)] // full conv geometry is inherently wide
 fn im2col(
     x: &[f32],
@@ -106,21 +135,20 @@ fn im2col(
     let cols = ho * wo;
     for ci in 0..c {
         for ki in 0..kh {
+            let ys = tap_span(ki, h, ho, args);
             for kj in 0..kw {
+                let xs = tap_span(kj, w, wo, args);
+                if xs.is_empty() {
+                    continue;
+                }
                 let row = (ci * kh + ki) * kw + kj;
                 let dst = &mut col[row * cols..(row + 1) * cols];
-                for oy in 0..ho {
-                    let iy = (oy * args.stride + ki) as isize - args.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src_row = &x[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
-                    for ox in 0..wo {
-                        let ix = (ox * args.stride + kj) as isize - args.pad as isize;
-                        if ix >= 0 && ix < w as isize {
-                            dst[oy * wo + ox] = src_row[ix as usize];
-                        }
-                    }
+                let ix0 = xs.start * args.stride + kj - args.pad;
+                for oy in ys.clone() {
+                    let iy = oy * args.stride + ki - args.pad;
+                    let src = &x[(ci * h + iy) * w + ix0..(ci * h + iy + 1) * w];
+                    let dst_span = &mut dst[oy * wo + xs.start..oy * wo + xs.end];
+                    copy_strided(dst_span, src, args.stride);
                 }
             }
         }
@@ -128,7 +156,8 @@ fn im2col(
     col
 }
 
-/// Folds an im2col matrix back onto an NCHW sample, accumulating overlaps.
+/// Folds an im2col matrix back onto an NCHW sample, accumulating overlaps
+/// in `(ci, ki, kj, oy, ox)` order over the same spans [`im2col`] copies.
 #[allow(clippy::too_many_arguments)] // full conv geometry is inherently wide
 fn col2im(
     col: &[f32],
@@ -145,20 +174,26 @@ fn col2im(
     let cols = ho * wo;
     for ci in 0..c {
         for ki in 0..kh {
+            let ys = tap_span(ki, h, ho, args);
             for kj in 0..kw {
+                let xs = tap_span(kj, w, wo, args);
+                if xs.is_empty() {
+                    continue;
+                }
                 let row = (ci * kh + ki) * kw + kj;
                 let src = &col[row * cols..(row + 1) * cols];
-                for oy in 0..ho {
-                    let iy = (oy * args.stride + ki) as isize - args.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let dst_row =
-                        &mut out[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
-                    for ox in 0..wo {
-                        let ix = (ox * args.stride + kj) as isize - args.pad as isize;
-                        if ix >= 0 && ix < w as isize {
-                            dst_row[ix as usize] += src[oy * wo + ox];
+                let ix0 = xs.start * args.stride + kj - args.pad;
+                for oy in ys.clone() {
+                    let iy = oy * args.stride + ki - args.pad;
+                    let dst = &mut out[(ci * h + iy) * w + ix0..(ci * h + iy + 1) * w];
+                    let src_span = &src[oy * wo + xs.start..oy * wo + xs.end];
+                    if args.stride == 1 {
+                        for (d, &v) in dst.iter_mut().zip(src_span) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(args.stride).zip(src_span) {
+                            *d += v;
                         }
                     }
                 }
@@ -209,6 +244,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, args: Conv2dArgs) -> Tensor {
     let kdim = ci * kh * kw;
     let cols = ho * wo;
     let algo = ConvAlgo::select(input.shape(), weight.shape(), args);
+    let filters = Mat::new(weight.data(), Layout::RowMajor, co, kdim);
     let mut out = vec![0.0f32; n * co * cols];
     let _scope = effects::kernel_scope("conv2d_fwd");
     // One sample per chunk; each sample's lowering writes a disjoint
@@ -222,7 +258,10 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, args: Conv2dArgs) -> Tensor {
         match algo {
             // 1x1/stride-1/unpadded: the sample itself is already the
             // [c, h*w] im2col matrix — multiply in place, no copy.
-            ConvAlgo::DirectGemm => gemm_into(weight.data(), x, out_s, co, kdim, cols),
+            ConvAlgo::DirectGemm => {
+                let sample = Mat::new(x, Layout::RowMajor, kdim, cols);
+                gemm_into(filters, sample, out_s, co, kdim, cols)
+            }
             ConvAlgo::DirectLoops => conv_direct_sample(
                 x,
                 weight.data(),
@@ -235,7 +274,8 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, args: Conv2dArgs) -> Tensor {
             ),
             ConvAlgo::Im2colGemm => {
                 let col = im2col(x, c, h, w, kh, kw, args, ho, wo);
-                gemm_into(weight.data(), &col, out_s, co, kdim, cols);
+                let unfolded = Mat::new(&col, Layout::RowMajor, kdim, cols);
+                gemm_into(filters, unfolded, out_s, co, kdim, cols);
             }
         }
     });
@@ -293,7 +333,8 @@ fn conv_direct_sample(
 ///
 /// # Panics
 ///
-/// Panics on rank or channel mismatches.
+/// Panics on rank or channel mismatches, or if `grad_output`'s spatial
+/// extent is not what [`conv2d`] produces from an `input_hw` input.
 pub fn conv2d_backward_input(
     grad_output: &Tensor,
     weight: &Tensor,
@@ -327,10 +368,16 @@ pub fn conv2d_backward_input(
         "conv2d_backward_input: channel mismatch {co} vs {cow}"
     );
     let (h, w) = input_hw;
+    assert_eq!(
+        (ho, wo),
+        (args.out_extent(h, kh), args.out_extent(w, kw)),
+        "conv2d_backward_input: grad extent vs the conv2d output of a {h}x{w} input \
+         ({kh}x{kw} kernel, {args:?})"
+    );
     let kdim = ci * kh * kw;
     let cols = ho * wo;
-    // weight^T: [kdim, co]
-    let wt = weight.reshape(&[co, kdim]).t();
+    // weight^T [kdim, co], read in place from the [co, kdim] filter bank.
+    let wt = Mat::new(weight.data(), Layout::Transposed, kdim, co);
     // For 1x1/stride-1/unpadded geometries col2im is the identity map, so
     // the GEMM can write the input gradient directly (no column buffer).
     let direct_1x1 = kh == 1 && kw == 1 && args.stride == 1 && args.pad == 0 && (ho, wo) == (h, w);
@@ -343,11 +390,12 @@ pub fn conv2d_backward_input(
         let s = range.start / (ci * h * w).max(1);
         effects::read(grad_output.data(), s * co * cols..(s + 1) * co * cols);
         let g = &grad_output.data()[s * co * cols..(s + 1) * co * cols];
+        let g = Mat::new(g, Layout::RowMajor, co, cols);
         if direct_1x1 {
-            gemm_into(wt.data(), g, out_s, kdim, co, cols);
+            gemm_into(wt, g, out_s, kdim, co, cols);
         } else {
             let mut col = vec![0.0f32; kdim * cols];
-            gemm_into(wt.data(), g, &mut col, kdim, co, cols);
+            gemm_into(wt, g, &mut col, kdim, co, cols);
             col2im(&col, ci, h, w, kh, kw, args, ho, wo, out_s);
         }
     });
@@ -358,7 +406,8 @@ pub fn conv2d_backward_input(
 ///
 /// # Panics
 ///
-/// Panics on rank or batch mismatches.
+/// Panics on rank or batch mismatches, or if `grad_output`'s spatial extent
+/// is not what [`conv2d`] produces from `input` with a `kernel_hw` kernel.
 pub fn conv2d_backward_weight(
     input: &Tensor,
     grad_output: &Tensor,
@@ -389,6 +438,12 @@ pub fn conv2d_backward_weight(
     );
     assert_eq!(n, n2, "conv2d_backward_weight: batch mismatch");
     let (kh, kw) = kernel_hw;
+    assert_eq!(
+        (ho, wo),
+        (args.out_extent(h, kh), args.out_extent(w, kw)),
+        "conv2d_backward_weight: grad extent vs the conv2d output of a {h}x{w} input \
+         ({kh}x{kw} kernel, {args:?})"
+    );
     let kdim = c * kh * kw;
     let cols = ho * wo;
     // Weight gradients sum over samples: an order-stable chunked reduction
@@ -406,11 +461,19 @@ pub fn conv2d_backward_weight(
             effects::read(grad_output.data(), s * co * cols..(s + 1) * co * cols);
             let x = &input.data()[s * c * h * w..(s + 1) * c * h * w];
             let col = im2col(x, c, h, w, kh, kw, args, ho, wo);
-            // grad_w_s = g [co, cols] * col^T [cols, kdim]
-            let colt = Tensor::from_vec(col, &[kdim, cols]).t();
+            // grad_w_s = g [co, cols] * col^T [cols, kdim], the unfolded
+            // matrix read transposed where it lies.
+            let colt = Mat::new(&col, Layout::Transposed, cols, kdim);
             let g = &grad_output.data()[s * co * cols..(s + 1) * co * cols];
             let mut gw_s = vec![0.0f32; co * kdim];
-            gemm_into(g, colt.data(), &mut gw_s, co, cols, kdim);
+            gemm_into(
+                Mat::new(g, Layout::RowMajor, co, cols),
+                colt,
+                &mut gw_s,
+                co,
+                cols,
+                kdim,
+            );
             gw_s
         },
         |mut acc, part| {
@@ -548,6 +611,45 @@ mod tests {
         let w = Tensor::randn(&[3, 2, 2, 2], &mut rng);
         let up = conv2d_backward_input(&g, &w, (4, 4), Conv2dArgs::new(2, 0));
         assert_eq!(up.shape(), &[1, 2, 4, 4]);
+    }
+
+    /// A 5x5 input under a 3x3 kernel, stride 1, pad 1 yields 5x5, so a
+    /// 4x4 gradient belongs to some other convolution.
+    #[test]
+    #[should_panic(expected = "conv2d_backward_input: grad extent")]
+    fn backward_input_rejects_a_grad_of_the_wrong_extent() {
+        let g = Tensor::ones(&[1, 3, 4, 4]);
+        let w = Tensor::ones(&[3, 2, 3, 3]);
+        let _ = conv2d_backward_input(&g, &w, (5, 5), Conv2dArgs::new(1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward_weight: grad extent")]
+    fn backward_weight_rejects_a_grad_of_the_wrong_extent() {
+        let x = Tensor::ones(&[1, 2, 5, 5]);
+        let g = Tensor::ones(&[1, 3, 5, 4]);
+        let _ = conv2d_backward_weight(&x, &g, (3, 3), Conv2dArgs::new(1, 1));
+    }
+
+    #[test]
+    fn tap_spans_are_the_in_bounds_positions() {
+        for stride in 1..=3 {
+            for pad in 0..=4 {
+                let args = Conv2dArgs::new(stride, pad);
+                for extent in 1..=6 {
+                    for kernel in 1..=(extent + 2 * pad).min(5) {
+                        let out = args.out_extent(extent, kernel);
+                        for tap in 0..kernel {
+                            let want: Vec<usize> = (0..out)
+                                .filter(|o| (pad..pad + extent).contains(&(o * stride + tap)))
+                                .collect();
+                            let got: Vec<usize> = tap_span(tap, extent, out, args).collect();
+                            assert_eq!(got, want, "s{stride} p{pad} n{extent} k{kernel} t{tap}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,17 @@
 
 use aibench_parallel::effects;
 
-use super::microkernel::{gemm_flops, gemm_into};
+use super::microkernel::{gemm_flops, gemm_into, Layout, Mat};
 use crate::Tensor;
+
+/// The logical `(rows, cols)` of a 2-D operand stored as `[d0, d1]` under
+/// `layout`.
+fn logical_dims(d0: usize, d1: usize, layout: Layout) -> (usize, usize) {
+    match layout {
+        Layout::RowMajor => (d0, d1),
+        Layout::Transposed => (d1, d0),
+    }
+}
 
 /// Matrix product of two 2-D tensors: `[m, k] x [k, n] -> [m, n]`.
 ///
@@ -32,19 +41,49 @@ use crate::Tensor;
 /// assert_eq!(matmul(&a, &i), a);
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_layout(a, Layout::RowMajor, b, Layout::RowMajor)
+}
+
+/// Matrix product of two 2-D operands, each held by its tensor under the
+/// given [`Layout`]: `matmul_layout(g, RowMajor, w, Transposed)` is
+/// `g x w^T`, bit for bit what `matmul(g, &w.t())` returns, without the
+/// transposed copy.
+///
+/// # Panics
+///
+/// Panics if either input is not 2-D or the logical inner dimensions
+/// disagree.
+///
+/// # Example
+///
+/// ```
+/// use aibench_tensor::{ops::{matmul, matmul_layout, Layout}, Tensor};
+/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
+/// let b = Tensor::from_vec(vec![1.0, 0.0, 2.0, 0.0, 1.0, 3.0], &[2, 3]);
+/// let abt = matmul_layout(&a, Layout::RowMajor, &b, Layout::Transposed);
+/// assert_eq!(abt, matmul(&a, &b.t()));
+/// ```
+pub fn matmul_layout(a: &Tensor, a_layout: Layout, b: &Tensor, b_layout: Layout) -> Tensor {
     assert_eq!(a.ndim(), 2, "matmul: lhs must be 2-D, got {:?}", a.shape());
     assert_eq!(b.ndim(), 2, "matmul: rhs must be 2-D, got {:?}", b.shape());
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
+    let (m, k) = logical_dims(a.shape()[0], a.shape()[1], a_layout);
+    let (k2, n) = logical_dims(b.shape()[0], b.shape()[1], b_layout);
     assert_eq!(
         k,
         k2,
-        "matmul: inner dims {k} vs {k2} (lhs {:?}, rhs {:?})",
+        "matmul: inner dims {k} vs {k2} (lhs {:?} {a_layout:?}, rhs {:?} {b_layout:?})",
         a.shape(),
         b.shape()
     );
     let mut out = vec![0.0f32; m * n];
-    gemm_into(a.data(), b.data(), &mut out, m, k, n);
+    gemm_into(
+        Mat::new(a.data(), a_layout, m, k),
+        Mat::new(b.data(), b_layout, k, n),
+        &mut out,
+        m,
+        k,
+        n,
+    );
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -54,6 +93,18 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics if either input is not 3-D or batch/inner dimensions disagree.
 pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    batch_matmul_layout(a, Layout::RowMajor, b, Layout::RowMajor)
+}
+
+/// Batched [`matmul_layout`]: every batch entry's 2-D operand is held under
+/// the given [`Layout`], so a `Transposed` side stands for
+/// `permute(&[0, 2, 1])` of that tensor without the copy.
+///
+/// # Panics
+///
+/// Panics if either input is not 3-D or batch/logical inner dimensions
+/// disagree.
+pub fn batch_matmul_layout(a: &Tensor, a_layout: Layout, b: &Tensor, b_layout: Layout) -> Tensor {
     assert_eq!(
         a.ndim(),
         3,
@@ -66,8 +117,9 @@ pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         "batch_matmul: rhs must be 3-D, got {:?}",
         b.shape()
     );
-    let (ba, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-    let (bb, k2, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
+    let (ba, bb) = (a.shape()[0], b.shape()[0]);
+    let (m, k) = logical_dims(a.shape()[1], a.shape()[2], a_layout);
+    let (k2, n) = logical_dims(b.shape()[1], b.shape()[2], b_layout);
     assert_eq!(ba, bb, "batch_matmul: batch dims {ba} vs {bb}");
     assert_eq!(k, k2, "batch_matmul: inner dims {k} vs {k2}");
     let mut out = vec![0.0f32; ba * m * n];
@@ -79,8 +131,8 @@ pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         effects::read(a.data(), i * m * k..(i + 1) * m * k);
         effects::read(b.data(), i * k * n..(i + 1) * k * n);
         gemm_into(
-            &a.data()[i * m * k..(i + 1) * m * k],
-            &b.data()[i * k * n..(i + 1) * k * n],
+            Mat::new(&a.data()[i * m * k..(i + 1) * m * k], a_layout, m, k),
+            Mat::new(&b.data()[i * k * n..(i + 1) * k * n], b_layout, k, n),
             out_i,
             m,
             k,

@@ -12,6 +12,21 @@
 //! add traffic); and a 32x32 scalar tiled kernel kept as the measurement
 //! baseline ([`GemmPath::Scalar`]).
 //!
+//! # Operand layouts
+//!
+//! Either operand may be handed over as its transpose ([`Layout`]): every
+//! backward pass multiplies by one (`dA = g x B^T`, `dB = A^T x g`, the
+//! conv weight gradient `g x col^T`, the conv input gradient `W^T x g`).
+//! An operand is a buffer plus two strides (`Mat`), one of which is 1, and
+//! the packers already copy every element once — so they read a transposed
+//! source where it lies instead of a copy made for them: `pack_strip`
+//! walks a transposed `B`'s columns (contiguous along `k`) down the strip's
+//! lanes, `pack_a_panel` moves the `MR` adjacent values a transposed `A`
+//! holds for each `k`, the in-place path packs a transposed `B` into the
+//! same strips it already uses for a ragged column tail, and the scalar
+//! baseline gathers a transposed `B` one 32x32 tile at a time into a stack
+//! tile. Which path runs is decided by `(m, k, n)` alone, as before.
+//!
 //! # Blocking parameters
 //!
 //! | constant | value | role |
@@ -34,7 +49,7 @@
 //! accumulates each output element
 //! `C[i, j]` in **ascending `k` order with one `mul` + one `add` per term**
 //! (no FMA contraction, no tree reduction over `k`). Packing only moves
-//! inputs; padded lanes multiply into discarded scratch rows/columns and
+//! inputs, whichever [`Layout`] it reads them from; padded lanes multiply into discarded scratch rows/columns and
 //! never feed a live accumulator, and `k` is never padded. The result is
 //! bitwise identical to the naive triple loop for every path, every blocking
 //! parameter, and every `AIBENCH_THREADS` value — which is what lets
@@ -119,13 +134,77 @@ pub(crate) fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
     2 * (m * k * n) as u64
 }
 
+/// How a tensor's row-major buffer holds a 2-D GEMM operand.
+///
+/// Products of transposes are common (every matmul and convolution
+/// backward pass is one), and a transpose is only a different walk over the
+/// same buffer: the kernels read a [`Layout::Transposed`] operand in place
+/// while packing, so no caller has to materialise `x.t()` first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// The buffer is the operand itself: an `[r, c]` operand is stored as
+    /// `[r, c]`.
+    RowMajor,
+    /// The buffer is the operand's transpose: an `[r, c]` operand is stored
+    /// as `[c, r]`.
+    Transposed,
+}
+
+/// One GEMM operand: a buffer and the strides that address the logical
+/// matrix in it, element `(i, j)` at `i * rs + j * cs`. Built only by
+/// [`Mat::new`], so one of the two strides is always 1 — the packers copy
+/// along that direction and stride along the other.
+#[derive(Clone, Copy)]
+pub(crate) struct Mat<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> Mat<'a> {
+    /// The logical `[rows, cols]` operand held in `data` under `layout`.
+    pub(crate) fn new(data: &'a [f32], layout: Layout, rows: usize, cols: usize) -> Self {
+        debug_assert_eq!(data.len(), rows * cols);
+        match layout {
+            Layout::RowMajor => Mat {
+                data,
+                rs: cols,
+                cs: 1,
+            },
+            Layout::Transposed => Mat {
+                data,
+                rs: 1,
+                cs: rows,
+            },
+        }
+    }
+
+    #[inline]
+    fn at(&self, i: usize, j: usize) -> f32 {
+        self.data[i * self.rs + j * self.cs]
+    }
+
+    /// Declares a chunk's read of the logical block `rows x cols` to the
+    /// effect tracker, as the tightest single index range covering it.
+    fn declare_read(&self, rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) {
+        let span = if rows.is_empty() || cols.is_empty() {
+            0..0
+        } else {
+            rows.start * self.rs + cols.start * self.cs
+                ..(rows.end - 1) * self.rs + (cols.end - 1) * self.cs + 1
+        };
+        effects::read(self.data, span);
+    }
+}
+
 /// `out += a[m,k] * b[k,n]` over pre-zeroed (or pre-accumulated) `out`.
 ///
 /// Dispatches per [`gemm_path`]: the packed microkernel for large shapes,
 /// the in-place register-tiled kernel for small ones, and the scalar tiled
 /// baseline when forced. All paths are bitwise identical to the naive
-/// triple loop and to each other, for every `AIBENCH_THREADS` value.
-pub(crate) fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// triple loop and to each other, for every `AIBENCH_THREADS` value and
+/// every operand [`Layout`].
+pub(crate) fn gemm_into(a: Mat, b: Mat, out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     if gemm_path() == GemmPath::Scalar {
         gemm_tiled(a, b, out, m, k, n);
@@ -145,9 +224,9 @@ pub(crate) fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 const TILE: usize = 32;
 
 /// Scalar 32x32-tiled GEMM, parallel over [`TILE`]-row blocks. This is the
-/// kernel the microkernel replaced; it remains the small-shape path and the
-/// `aibench-perf` scalar baseline.
-pub(crate) fn gemm_tiled(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// kernel the microkernel replaced; it remains the `aibench-perf` scalar
+/// baseline.
+pub(crate) fn gemm_tiled(a: Mat, b: Mat, out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     let _scope = effects::kernel_scope("gemm");
     let work = gemm_flops(m, k, n);
@@ -157,8 +236,8 @@ pub(crate) fn gemm_tiled(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usi
         let i_hi = rows.end / n.max(1);
         // Each row block reads its own band of `a` and all of `b`; shared
         // reads never conflict.
-        effects::read(a, i_lo * k..i_hi * k);
-        effects::read(b, 0..k * n);
+        a.declare_read(i_lo..i_hi, 0..k);
+        b.declare_read(0..k, 0..n);
         gemm_rows_tiled(a, b, out_block, i_lo..i_hi, k, n);
     });
 }
@@ -166,32 +245,133 @@ pub(crate) fn gemm_tiled(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usi
 /// Serial tile-blocked GEMM over the output rows `i_range`; `out_block` is
 /// the output slice for exactly those rows. Accumulates each element in
 /// ascending `k` order (bitwise-equal to the naive loop).
+///
+/// A transposed `b` has its current tile gathered into a row-major stack
+/// tile first, so the inner loop stays the contiguous one the baseline has
+/// always timed instead of turning into strided scalar loads.
 fn gemm_rows_tiled(
-    a: &[f32],
-    b: &[f32],
+    a: Mat,
+    b: Mat,
     out_block: &mut [f32],
     i_range: std::ops::Range<usize>,
     k: usize,
     n: usize,
 ) {
     let (i_lo, i_hi) = (i_range.start, i_range.end);
+    let mut b_tile = [0.0f32; TILE * TILE];
     for i0 in (i_lo..i_hi).step_by(TILE) {
         let i1 = (i0 + TILE).min(i_hi);
         for k0 in (0..k).step_by(TILE) {
             let k1 = (k0 + TILE).min(k);
             for j0 in (0..n).step_by(TILE) {
                 let j1 = (j0 + TILE).min(n);
-                for i in i0..i1 {
-                    let a_row = &a[i * k..i * k + k];
-                    let out_row = &mut out_block[(i - i_lo) * n..(i - i_lo) * n + n];
-                    for kk in k0..k1 {
-                        let av = a_row[kk];
-                        let b_row = &b[kk * n..kk * n + n];
-                        for j in j0..j1 {
-                            out_row[j] += av * b_row[j];
+                if b.cs != 1 {
+                    for (j, column) in (j0..j1).enumerate() {
+                        let at = column * b.cs + k0;
+                        let along_k = &b.data[at..at + (k1 - k0)];
+                        for (row, &v) in b_tile.chunks_exact_mut(TILE).zip(along_k) {
+                            row[j] = v;
                         }
                     }
                 }
+                for i in i0..i1 {
+                    let out_row = &mut out_block[(i - i_lo) * n + j0..(i - i_lo) * n + j1];
+                    for kk in k0..k1 {
+                        let av = a.at(i, kk);
+                        let b_row = if b.cs == 1 {
+                            &b.data[kk * b.rs + j0..kk * b.rs + j1]
+                        } else {
+                            &b_tile[(kk - k0) * TILE..(kk - k0) * TILE + (j1 - j0)]
+                        };
+                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                            *o += av * bv;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Register-tile I/O and strip packing shared by both microkernel paths
+// ---------------------------------------------------------------------
+
+/// Number of `NR`-column strips covering `n` columns.
+fn n_strips(n: usize) -> usize {
+    n.div_ceil(NR)
+}
+
+/// Loads the live `rows x cols` cells of the `C` tile at `(r0, j0)` of the
+/// row block `c[., n]` into a zeroed accumulator tile. A full tile moves as
+/// `MR` fixed-width rows (vector loads); only ragged edge tiles pay for
+/// variable-length copies.
+#[inline]
+fn load_tile(
+    c: &[f32],
+    n: usize,
+    (r0, j0): (usize, usize),
+    (rows, cols): (usize, usize),
+) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
+    if (rows, cols) == (MR, NR) {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let at = (r0 + r) * n + j0;
+            acc_row.copy_from_slice(&c[at..at + NR]);
+        }
+    } else {
+        for (r, acc_row) in acc.iter_mut().enumerate().take(rows) {
+            let at = (r0 + r) * n + j0;
+            acc_row[..cols].copy_from_slice(&c[at..at + cols]);
+        }
+    }
+    acc
+}
+
+/// Stores the live `rows x cols` cells of `acc` back to the `C` tile at
+/// `(r0, j0)` (the mirror of [`load_tile`]); padded cells are dropped.
+#[inline]
+fn store_tile(
+    acc: &[[f32; NR]; MR],
+    c: &mut [f32],
+    n: usize,
+    (r0, j0): (usize, usize),
+    (rows, cols): (usize, usize),
+) {
+    if (rows, cols) == (MR, NR) {
+        for (r, acc_row) in acc.iter().enumerate() {
+            let at = (r0 + r) * n + j0;
+            c[at..at + NR].copy_from_slice(acc_row);
+        }
+    } else {
+        for (r, acc_row) in acc.iter().enumerate().take(rows) {
+            let at = (r0 + r) * n + j0;
+            c[at..at + cols].copy_from_slice(&acc_row[..cols]);
+        }
+    }
+}
+
+/// Packs the logical block `b[k_range, j0..j0 + cols]` into one `NR`-wide
+/// strip: element `(kk, j)` at `kk * NR + j`, lanes `cols..NR` left as they
+/// are (zero in a fresh buffer). `strip` holds `k_range.len() * NR` floats.
+///
+/// A row-major `b` is copied a row segment at a time. A transposed `b`
+/// stores each logical column contiguously along `k`, so it is read a
+/// column at a time — sequentially, in place — and scattered down the
+/// strip's lane; nothing is transposed in memory first.
+fn pack_strip(b: Mat, strip: &mut [f32], k_range: std::ops::Range<usize>, j0: usize, cols: usize) {
+    debug_assert_eq!(strip.len(), k_range.len() * NR);
+    if b.cs == 1 {
+        for (kk, dst) in k_range.zip(strip.chunks_exact_mut(NR)) {
+            let at = kk * b.rs + j0;
+            dst[..cols].copy_from_slice(&b.data[at..at + cols]);
+        }
+    } else {
+        for j in 0..cols {
+            let at = (j0 + j) * b.cs + k_range.start;
+            let column = &b.data[at..at + k_range.len()];
+            for (dst, &v) in strip.chunks_exact_mut(NR).zip(column) {
+                dst[j] = v;
             }
         }
     }
@@ -202,117 +382,108 @@ fn gemm_rows_tiled(
 // ---------------------------------------------------------------------
 
 /// Register-tiled GEMM for sub-threshold shapes: the same `MR x NR`
-/// microtile as the packed path, but reading `A` and `B` in place. At
-/// these sizes both operands are cache-resident already, so packing would
-/// only add memory traffic; the win over the scalar tiled baseline is
-/// keeping each `C` microtile in registers across the whole `k` extent
-/// (one load + one store per output element instead of one per k-tile).
-fn gemm_small(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// microtile as the packed path, but reading `A` — and a row-major `B` — in
+/// place. At these sizes both operands are cache-resident already, so
+/// packing would only add memory traffic; the win over the scalar tiled
+/// baseline is keeping each `C` microtile in registers across the whole `k`
+/// extent (one load + one store per output element instead of one per
+/// k-tile).
+fn gemm_small(a: Mat, b: Mat, out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
-    let tail = pack_tail(b, k, n);
+    let packed = pack_small(b, k, n);
     let _scope = effects::kernel_scope("gemm");
     let work = gemm_flops(m, k, n);
     aibench_parallel::parallel_slice_mut_weighted(out, TILE * n.max(1), work, |rows, out_block| {
         debug_assert_eq!(rows.start % n.max(1), 0);
         let i_lo = rows.start / n.max(1);
         let i_hi = rows.end / n.max(1);
-        effects::read(a, i_lo * k..i_hi * k);
-        effects::read(b, 0..k * n);
-        effects::read(&tail, 0..tail.len());
-        gemm_rows_small(a, b, &tail, out_block, i_lo..i_hi, k, n);
+        a.declare_read(i_lo..i_hi, 0..k);
+        b.declare_read(0..k, 0..n);
+        effects::read(&packed, 0..packed.len());
+        gemm_rows_small(a, b, &packed, out_block, i_lo..i_hi, k, n);
     });
 }
 
-/// Packs the `n % NR` trailing columns of `b[k, n]` into one zero-padded
-/// `NR`-wide strip (element `(kk, j)` at `kk * NR + j`, the same layout as
-/// a [`pack_b`] strip). Returns an empty vector when `NR` divides `n`.
-/// This keeps the column remainder on the register microkernel — padded
-/// lanes accumulate into discarded scratch columns — instead of a slow
-/// per-element tail loop.
-fn pack_tail(b: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let rem = n % NR;
-    if rem == 0 {
-        return Vec::new();
+/// First column of `b[k, n]` the small path reads from packed strips
+/// rather than in place: the `n % NR` trailing columns of a row-major `b`
+/// (a ragged strip cannot feed a full-width vector load), every column of a
+/// transposed `b` (its rows are not contiguous at all).
+fn small_packed_from(b: Mat, n: usize) -> usize {
+    if b.cs == 1 {
+        n - n % NR
+    } else {
+        0
     }
-    let j0 = n - rem;
-    let mut tail = vec![0.0f32; k * NR];
-    for kk in 0..k {
-        tail[kk * NR..kk * NR + rem].copy_from_slice(&b[kk * n + j0..kk * n + j0 + rem]);
-    }
-    tail
 }
 
-/// Serial register-tiled GEMM over the output rows `i_range`. Full
-/// `MR x NR` tiles run the in-place microkernel against `b` directly; the
-/// column remainder runs it against the pre-packed `tail` strip; the row
-/// remainder uses a single-row variant. Every path accumulates each
+/// Packs the columns `small_packed_from(b, n)..n` of `b[k, n]` into
+/// whole-`k` strips (`k * NR` floats each, the [`pack_strip`] layout,
+/// zero-padded to `NR` lanes). Empty when a row-major `b` has no column
+/// remainder. This keeps ragged and transposed columns on the register
+/// microkernel — padded lanes accumulate into discarded scratch columns —
+/// instead of a slow per-element loop.
+fn pack_small(b: Mat, k: usize, n: usize) -> Vec<f32> {
+    let from = small_packed_from(b, n);
+    let mut packed = vec![0.0f32; n_strips(n - from) * k * NR];
+    if k > 0 {
+        for (s, strip) in packed.chunks_exact_mut(k * NR).enumerate() {
+            let j0 = from + s * NR;
+            pack_strip(b, strip, 0..k, j0, NR.min(n - j0));
+        }
+    }
+    packed
+}
+
+/// Serial register-tiled GEMM over the output rows `i_range`. Each
+/// `MR x NR` tile runs the in-place microkernel against `b` directly, or
+/// against its pre-packed strip for the columns [`pack_small`] covers; the
+/// row remainder uses a single-row variant. Every path accumulates each
 /// element in ascending `k` order, bitwise-equal to the naive loop.
 fn gemm_rows_small(
-    a: &[f32],
-    b: &[f32],
-    tail: &[f32],
+    a: Mat,
+    b: Mat,
+    packed: &[f32],
     out_block: &mut [f32],
     i_range: std::ops::Range<usize>,
     k: usize,
     n: usize,
 ) {
     let (i_lo, i_hi) = (i_range.start, i_range.end);
-    let rem = n % NR;
-    let n_full = n - rem;
+    let packed_from = small_packed_from(b, n);
     for i0 in (i_lo..i_hi).step_by(MR) {
         let live = MR.min(i_hi - i0);
-        for j0 in (0..n_full).step_by(NR) {
-            let mut acc = [[0.0f32; NR]; MR];
-            for (r, acc_row) in acc.iter_mut().enumerate().take(live) {
-                let c_row = &out_block[(i0 - i_lo + r) * n + j0..(i0 - i_lo + r) * n + j0 + NR];
-                acc_row.copy_from_slice(c_row);
-            }
+        for j0 in (0..n).step_by(NR) {
+            // `B` rows of this strip: `NR` lanes from `offset`, `stride`
+            // apart — in place, or in the strip packed for these columns
+            // (only the live columns are stored back).
+            let (strip, offset, stride) = if j0 < packed_from {
+                (b.data, j0, b.rs)
+            } else {
+                let s = (j0 - packed_from) / NR;
+                (&packed[s * k * NR..(s + 1) * k * NR], 0, NR)
+            };
+            let (at, cells) = ((i0 - i_lo, j0), (live, NR.min(n - j0)));
+            let mut acc = load_tile(out_block, n, at, cells);
             if live == MR {
-                micro_tile_inplace(a, b, i0, j0, k, n, &mut acc);
+                micro_tile_inplace(a, strip, i0, offset, k, stride, &mut acc);
             } else {
                 for (r, acc_row) in acc.iter_mut().enumerate().take(live) {
-                    row_tile_inplace(a, b, i0 + r, j0, k, n, acc_row);
+                    row_tile_inplace(a, strip, i0 + r, offset, k, stride, acc_row);
                 }
             }
-            for (r, acc_row) in acc.iter().enumerate().take(live) {
-                let c_row = &mut out_block[(i0 - i_lo + r) * n + j0..(i0 - i_lo + r) * n + j0 + NR];
-                c_row.copy_from_slice(acc_row);
-            }
-        }
-        if rem > 0 {
-            // Column remainder via the packed tail strip (stride NR,
-            // offset 0); only the `rem` live columns are stored back.
-            let mut acc = [[0.0f32; NR]; MR];
-            for (r, acc_row) in acc.iter_mut().enumerate().take(live) {
-                let c_row =
-                    &out_block[(i0 - i_lo + r) * n + n_full..(i0 - i_lo + r) * n + n_full + rem];
-                acc_row[..rem].copy_from_slice(c_row);
-            }
-            if live == MR {
-                micro_tile_inplace(a, tail, i0, 0, k, NR, &mut acc);
-            } else {
-                for (r, acc_row) in acc.iter_mut().enumerate().take(live) {
-                    row_tile_inplace(a, tail, i0 + r, 0, k, NR, acc_row);
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate().take(live) {
-                let c_row = &mut out_block
-                    [(i0 - i_lo + r) * n + n_full..(i0 - i_lo + r) * n + n_full + rem];
-                c_row.copy_from_slice(&acc_row[..rem]);
-            }
+            store_tile(&acc, out_block, n, at, cells);
         }
     }
 }
 
 /// In-place `MR x NR` microkernel: `acc += A[i0.., :] * B[:, j0..]` with
-/// `A` read at its natural stride and `B` rows read at stride `b_stride`
-/// from offset `j0` (pass the packed tail strip with `j0 = 0`,
-/// `b_stride = NR` for the column remainder). Scalar build; autovectorizes
-/// over the `NR` lane loop.
+/// `A` read at its own strides and `B` rows read at stride `b_stride`
+/// from offset `j0` (pass a packed strip with `j0 = 0`, `b_stride = NR`).
+/// Scalar build; autovectorizes over the `NR` lane loop.
 #[cfg(not(feature = "simd"))]
 #[inline]
 fn micro_tile_inplace(
-    a: &[f32],
+    a: Mat,
     b: &[f32],
     i0: usize,
     j0: usize,
@@ -323,7 +494,7 @@ fn micro_tile_inplace(
     for kk in 0..k {
         let bv: &[f32] = &b[kk * b_stride + j0..kk * b_stride + j0 + NR];
         for (r, acc_row) in acc.iter_mut().enumerate() {
-            let av = a[(i0 + r) * k + kk];
+            let av = a.at(i0 + r, kk);
             for j in 0..NR {
                 acc_row[j] += av * bv[j];
             }
@@ -337,7 +508,7 @@ fn micro_tile_inplace(
 #[cfg(feature = "simd")]
 #[inline]
 fn micro_tile_inplace(
-    a: &[f32],
+    a: Mat,
     b: &[f32],
     i0: usize,
     j0: usize,
@@ -355,7 +526,7 @@ fn micro_tile_inplace(
     for kk in 0..k {
         let bv: Simd<f32, NR> = Simd::from_slice(&b[kk * b_stride + j0..kk * b_stride + j0 + NR]);
         for (r, vr) in v.iter_mut().enumerate() {
-            *vr += Simd::splat(a[(i0 + r) * k + kk]) * bv;
+            *vr += Simd::splat(a.at(i0 + r, kk)) * bv;
         }
     }
     for (r, vr) in v.iter().enumerate() {
@@ -368,7 +539,7 @@ fn micro_tile_inplace(
 /// [`micro_tile_inplace`].
 #[inline]
 fn row_tile_inplace(
-    a: &[f32],
+    a: Mat,
     b: &[f32],
     i: usize,
     j0: usize,
@@ -377,7 +548,7 @@ fn row_tile_inplace(
     acc_row: &mut [f32; NR],
 ) {
     for kk in 0..k {
-        let av = a[i * k + kk];
+        let av = a.at(i, kk);
         let bv = &b[kk * b_stride + j0..kk * b_stride + j0 + NR];
         for j in 0..NR {
             acc_row[j] += av * bv[j];
@@ -392,7 +563,7 @@ fn row_tile_inplace(
 /// Packed cache-blocked GEMM. `B` is packed once into `KC x NR` strips
 /// (shared read-only by all row blocks); each `MC`-row block then packs its
 /// own `A` panel and sweeps the microkernel.
-fn gemm_packed(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_packed(a: Mat, b: Mat, out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     let bp = pack_b(b, k, n);
     let _scope = effects::kernel_scope("gemm");
@@ -401,15 +572,10 @@ fn gemm_packed(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
         debug_assert_eq!(rows.start % n, 0);
         let i_lo = rows.start / n;
         let i_hi = rows.end / n;
-        effects::read(a, i_lo * k..i_hi * k);
+        a.declare_read(i_lo..i_hi, 0..k);
         effects::read(&bp, 0..bp.len());
         gemm_rows_packed(a, &bp, out_block, i_lo..i_hi, k, n);
     });
-}
-
-/// Number of `NR`-column strips covering `n` columns.
-fn n_strips(n: usize) -> usize {
-    n.div_ceil(NR)
 }
 
 /// Packs `b[k, n]` into `KC`-deep, `NR`-wide column strips.
@@ -420,7 +586,7 @@ fn n_strips(n: usize) -> usize {
 /// Columns beyond `n` in the last strip are zero; the microkernel's padded
 /// lanes compute into discarded scratch, so the padding never reaches live
 /// output.
-fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+fn pack_b(b: Mat, k: usize, n: usize) -> Vec<f32> {
     let strips = n_strips(n);
     let mut bp = vec![0.0f32; k * strips * NR];
     let _scope = effects::kernel_scope("gemm_pack_b");
@@ -433,14 +599,9 @@ fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
         // Every element of the panel is read once and written once.
         let work = (panel.len() * 2) as u64;
         aibench_parallel::parallel_slice_mut_weighted(panel, lp * NR, work, |range, strip| {
-            let s = range.start / (lp * NR);
-            let j0 = s * NR;
-            effects::read(b, kc0 * n..(kc0 + lp) * n);
-            let cols = NR.min(n - j0);
-            for kk in 0..lp {
-                let src = &b[(kc0 + kk) * n + j0..(kc0 + kk) * n + j0 + cols];
-                strip[kk * NR..kk * NR + cols].copy_from_slice(src);
-            }
+            let j0 = range.start / (lp * NR) * NR;
+            b.declare_read(kc0..kc0 + lp, 0..n);
+            pack_strip(b, strip, kc0..kc0 + lp, j0, NR.min(n - j0));
         });
         panel_base += lp * strips * NR;
     }
@@ -451,29 +612,37 @@ fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// `MR`-row tiles: tile `t` occupies `lp * MR` floats with element
 /// `(kk, r)` at `kk * MR + r`. Rows beyond `i_hi` are zero (discarded by
 /// the microkernel's row masking).
-fn pack_a_panel(
-    a: &[f32],
-    ap: &mut [f32],
-    i_range: std::ops::Range<usize>,
-    k: usize,
-    kc0: usize,
-    lp: usize,
-) {
+///
+/// A row-major `a` is read a row at a time and scattered down the tile's
+/// lane; a transposed `a` already stores the `MR` values of one `kk` side
+/// by side, so they move together.
+fn pack_a_panel(a: Mat, ap: &mut [f32], i_range: std::ops::Range<usize>, kc0: usize, lp: usize) {
     let (i_lo, i_hi) = (i_range.start, i_range.end);
     let tiles = (i_hi - i_lo).div_ceil(MR);
     for t in 0..tiles {
         let tile = &mut ap[t * lp * MR..(t + 1) * lp * MR];
-        for r in 0..MR {
-            let i = i_lo + t * MR + r;
-            if i < i_hi {
-                let row = &a[i * k + kc0..i * k + kc0 + lp];
-                for (kk, &v) in row.iter().enumerate() {
-                    tile[kk * MR + r] = v;
+        let i0 = i_lo + t * MR;
+        let live = MR.min(i_hi - i0);
+        if a.cs == 1 {
+            for r in 0..MR {
+                if r < live {
+                    let at = (i0 + r) * a.rs + kc0;
+                    for (dst, &v) in tile.chunks_exact_mut(MR).zip(&a.data[at..at + lp]) {
+                        dst[r] = v;
+                    }
+                } else {
+                    for dst in tile.chunks_exact_mut(MR) {
+                        dst[r] = 0.0;
+                    }
                 }
-            } else {
-                for kk in 0..lp {
-                    tile[kk * MR + r] = 0.0;
+            }
+        } else {
+            for (kk, dst) in tile.chunks_exact_mut(MR).enumerate() {
+                let at = (kc0 + kk) * a.cs + i0;
+                for (d, &v) in dst.iter_mut().zip(&a.data[at..at + live]) {
+                    *d = v;
                 }
+                dst[live..].fill(0.0);
             }
         }
     }
@@ -482,7 +651,7 @@ fn pack_a_panel(
 /// Serial packed GEMM over one row block: packs each A panel locally, then
 /// sweeps every B strip with the register microkernel.
 fn gemm_rows_packed(
-    a: &[f32],
+    a: Mat,
     bp: &[f32],
     out_block: &mut [f32],
     i_range: std::ops::Range<usize>,
@@ -497,29 +666,21 @@ fn gemm_rows_packed(
     let mut panel_base = 0;
     for kc0 in (0..k).step_by(KC) {
         let lp = (kc0 + KC).min(k) - kc0;
-        pack_a_panel(a, &mut ap, i_lo..i_hi, k, kc0, lp);
+        pack_a_panel(a, &mut ap, i_lo..i_hi, kc0, lp);
         for s in 0..strips {
             let j0 = s * NR;
-            let cols = NR.min(n - j0);
             let bs = &bp[panel_base + s * lp * NR..panel_base + (s + 1) * lp * NR];
             for t in 0..tiles {
                 let at = &ap[t * lp * MR..(t + 1) * lp * MR];
                 let r0 = t * MR;
-                let live_rows = MR.min(rows - r0);
                 // Load the live C cells into the accumulator tile, run the
                 // microkernel over the whole (possibly padded) tile, and
                 // store only the live cells back. Padded cells accumulate
                 // zero-products into scratch that is simply discarded.
-                let mut acc = [[0.0f32; NR]; MR];
-                for (r, acc_row) in acc.iter_mut().enumerate().take(live_rows) {
-                    let c_row = &out_block[(r0 + r) * n + j0..(r0 + r) * n + j0 + cols];
-                    acc_row[..cols].copy_from_slice(c_row);
-                }
+                let live = (MR.min(rows - r0), NR.min(n - j0));
+                let mut acc = load_tile(out_block, n, (r0, j0), live);
                 micro_tile(at, bs, lp, &mut acc);
-                for (r, acc_row) in acc.iter().enumerate().take(live_rows) {
-                    let c_row = &mut out_block[(r0 + r) * n + j0..(r0 + r) * n + j0 + cols];
-                    c_row.copy_from_slice(&acc_row[..cols]);
-                }
+                store_tile(&acc, out_block, n, (r0, j0), live);
             }
         }
         panel_base += lp * strips * NR;
@@ -588,6 +749,10 @@ mod tests {
         out
     }
 
+    fn rm(data: &[f32], rows: usize, cols: usize) -> Mat<'_> {
+        Mat::new(data, Layout::RowMajor, rows, cols)
+    }
+
     fn fill(seed: u64, len: usize) -> Vec<f32> {
         let mut rng = crate::Rng::seed_from(seed);
         (0..len).map(|_| rng.normal()).collect()
@@ -607,7 +772,7 @@ mod tests {
             let b = fill(k as u64 * 17 + 1, k * n);
             let want = gemm_naive(&a, &b, m, k, n);
             let mut got = vec![0.0f32; m * n];
-            gemm_packed(&a, &b, &mut got, m, k, n);
+            gemm_packed(rm(&a, m, k), rm(&b, k, n), &mut got, m, k, n);
             assert!(
                 got.iter()
                     .zip(&want)
@@ -615,7 +780,7 @@ mod tests {
                 "packed != naive at ({m},{k},{n})"
             );
             let mut tiled = vec![0.0f32; m * n];
-            gemm_tiled(&a, &b, &mut tiled, m, k, n);
+            gemm_tiled(rm(&a, m, k), rm(&b, k, n), &mut tiled, m, k, n);
             assert!(
                 tiled
                     .iter()
@@ -624,7 +789,7 @@ mod tests {
                 "tiled != naive at ({m},{k},{n})"
             );
             let mut small = vec![0.0f32; m * n];
-            gemm_small(&a, &b, &mut small, m, k, n);
+            gemm_small(rm(&a, m, k), rm(&b, k, n), &mut small, m, k, n);
             assert!(
                 small
                     .iter()
@@ -647,14 +812,14 @@ mod tests {
     #[test]
     fn zero_size_edges_are_no_ops() {
         let mut out: Vec<f32> = Vec::new();
-        gemm_packed(&[], &[], &mut out, 0, 0, 0);
-        gemm_tiled(&[], &[], &mut out, 0, 0, 0);
-        gemm_small(&[], &[], &mut out, 0, 0, 0);
+        gemm_packed(rm(&[], 0, 0), rm(&[], 0, 0), &mut out, 0, 0, 0);
+        gemm_tiled(rm(&[], 0, 0), rm(&[], 0, 0), &mut out, 0, 0, 0);
+        gemm_small(rm(&[], 0, 0), rm(&[], 0, 0), &mut out, 0, 0, 0);
         let mut out = vec![0.0f32; 3];
-        gemm_tiled(&[], &[], &mut out, 1, 0, 3);
+        gemm_tiled(rm(&[], 1, 0), rm(&[], 0, 3), &mut out, 1, 0, 3);
         assert_eq!(out, vec![0.0; 3]);
         let mut out = vec![0.0f32; 3];
-        gemm_small(&[], &[], &mut out, 1, 0, 3);
+        gemm_small(rm(&[], 1, 0), rm(&[], 0, 3), &mut out, 1, 0, 3);
         assert_eq!(out, vec![0.0; 3]);
     }
 }

@@ -4,6 +4,7 @@ use std::fmt;
 
 use crate::rng::Rng;
 use crate::shape::{broadcast_shapes, broadcast_strides, row_major_strides};
+use crate::walk::{copy_strided, RowWalk};
 
 /// A dense, row-major (C-order), contiguous `f32` tensor.
 ///
@@ -251,9 +252,16 @@ impl Tensor {
         );
         let (r, c) = (self.shape[0], self.shape[1]);
         let mut out = Tensor::zeros(&[c, r]);
-        for i in 0..r {
-            for j in 0..c {
-                out.data[j * r + i] = self.data[i * c + j];
+        // Square blocks keep both the rows read and the rows written
+        // cache-resident while a block is copied.
+        const BLOCK: usize = 32;
+        for i0 in (0..r).step_by(BLOCK) {
+            let i1 = (i0 + BLOCK).min(r);
+            for j0 in (0..c).step_by(BLOCK) {
+                for j in j0..(j0 + BLOCK).min(c) {
+                    let dst = &mut out.data[j * r + i0..j * r + i1];
+                    copy_strided(dst, &self.data[i0 * c + j..], c);
+                }
             }
         }
         out
@@ -277,18 +285,12 @@ impl Tensor {
         }
         let out_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
         let in_strides = row_major_strides(&self.shape);
-        let out_strides = row_major_strides(&out_shape);
+        let src_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
         let mut out = Tensor::zeros(&out_shape);
-        let n = self.data.len();
-        for flat_out in 0..n {
-            let mut rem = flat_out;
-            let mut flat_in = 0;
-            for d in 0..perm.len() {
-                let coord = rem / out_strides[d];
-                rem %= out_strides[d];
-                flat_in += coord * in_strides[perm[d]];
-            }
-            out.data[flat_out] = self.data[flat_in];
+        let walk = RowWalk::new(&out_shape, [&src_strides]);
+        let (len, [step]) = (walk.row_len, walk.inner);
+        for (dst, [at]) in out.data.chunks_exact_mut(len.max(1)).zip(walk) {
+            copy_strided(dst, &self.data[at..], step);
         }
         out
     }
@@ -383,19 +385,35 @@ impl Tensor {
         });
         let sa = broadcast_strides(&self.shape, &out_shape);
         let sb = broadcast_strides(&other.shape, &out_shape);
-        let out_strides = row_major_strides(&out_shape);
-        let n: usize = out_shape.iter().product();
-        let mut data = Vec::with_capacity(n);
-        for flat in 0..n {
-            let mut rem = flat;
-            let (mut ia, mut ib) = (0, 0);
-            for d in 0..out_shape.len() {
-                let coord = rem / out_strides[d];
-                rem %= out_strides[d];
-                ia += coord * sa[d];
-                ib += coord * sb[d];
+        let mut data = vec![0.0f32; out_shape.iter().product()];
+        let walk = RowWalk::new(&out_shape, [&sa, &sb]);
+        let (len, inner) = (walk.row_len, walk.inner);
+        for (out, [ia, ib]) in data.chunks_exact_mut(len.max(1)).zip(walk) {
+            match inner {
+                [1, 1] => {
+                    let (a, b) = (&self.data[ia..ia + len], &other.data[ib..ib + len]);
+                    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                        *o = f(x, y);
+                    }
+                }
+                [1, 0] => {
+                    let y = other.data[ib];
+                    for (o, &x) in out.iter_mut().zip(&self.data[ia..ia + len]) {
+                        *o = f(x, y);
+                    }
+                }
+                [0, 1] => {
+                    let x = self.data[ia];
+                    for (o, &y) in out.iter_mut().zip(&other.data[ib..ib + len]) {
+                        *o = f(x, y);
+                    }
+                }
+                [da, db] => {
+                    for (i, o) in out.iter_mut().enumerate() {
+                        *o = f(self.data[ia + i * da], other.data[ib + i * db]);
+                    }
+                }
             }
-            data.push(f(self.data[ia], other.data[ib]));
         }
         Tensor {
             shape: out_shape,
@@ -505,17 +523,28 @@ impl Tensor {
             self.shape
         );
         let st = broadcast_strides(target, &self.shape);
-        let self_strides = row_major_strides(&self.shape);
         let mut out = Tensor::zeros(target);
-        for flat in 0..self.data.len() {
-            let mut rem = flat;
-            let mut it = 0;
-            for d in 0..self.shape.len() {
-                let coord = rem / self_strides[d];
-                rem %= self_strides[d];
-                it += coord * st[d];
+        // Rows arrive in ascending flat order, so every target element
+        // takes its addends in the order a flat loop would feed them.
+        let walk = RowWalk::new(&self.shape, [&st]);
+        let (len, [step]) = (walk.row_len, walk.inner);
+        for (src, [at]) in self.data.chunks_exact(len.max(1)).zip(walk) {
+            if step == 0 {
+                // The whole row folds into one target cell, one addend at
+                // a time.
+                let mut acc = out.data[at];
+                for &v in src {
+                    acc += v;
+                }
+                out.data[at] = acc;
+            } else {
+                // A broadcast source is contiguous wherever it does not
+                // repeat, so a row that moves through it moves by 1.
+                debug_assert_eq!(step, 1);
+                for (o, &v) in out.data[at..at + len].iter_mut().zip(src) {
+                    *o += v;
+                }
             }
-            out.data[it] += self.data[flat];
         }
         out
     }

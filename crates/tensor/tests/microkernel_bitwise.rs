@@ -10,7 +10,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use aibench_tensor::ops::{self, Conv2dArgs, GemmPath};
+use aibench_tensor::ops::{self, Conv2dArgs, GemmPath, Layout};
 use aibench_tensor::{Rng, Tensor};
 
 const THREADS: &[usize] = &[1, 2, 3, 8];
@@ -92,6 +92,49 @@ fn gemm_all_paths_match_naive_across_threads() {
             bits(&want),
             "gemm({m},{k},{n}): blocked != naive"
         );
+    }
+}
+
+/// Transposed operands: `A`, `B` and both held as their transposes, on
+/// shapes that take the packed path and the in-place path, with ragged
+/// `MR` (4), `NR` (8) and `KC` (256) tails, and degenerate one-row,
+/// one-column and empty operands. Every layout on every path must equal the
+/// naive product of the materialised matrices, bit for bit.
+#[test]
+fn gemm_transposed_operands_match_naive_across_threads() {
+    let _g = lock_globals();
+    let shapes: &[(usize, usize, usize)] = &[
+        (0, 4, 3),
+        (3, 0, 5),
+        (1, 1, 1),
+        (1, 300, 1),
+        (1, 9, 17),
+        (17, 9, 1),
+        (5, 7, 9),     // in place: row, column and k remainders
+        (8, 16, 16),   // in place: no remainders
+        (13, 21, 30),  // in place, just under the packing threshold
+        (33, 257, 65), // packed: one k step past KC, ragged MR and NR
+        (66, 300, 19), // packed: two row blocks, ragged everything
+        (64, 512, 40), // packed: whole tiles and panels
+        (6, 700, 8),   // packed: three k panels, one strip
+    ];
+    for &(m, k, n) in shapes {
+        let a = Tensor::from_vec(fill(m as u64 * 97 + k as u64, m * k), &[m, k]);
+        let b = Tensor::from_vec(fill(n as u64 * 41 + 3, k * n), &[k, n]);
+        let (at, bt) = (a.t(), b.t());
+        let want = bits(&ops::matmul_naive(&a, &b));
+        for (what, lhs, lhs_layout, rhs, rhs_layout) in [
+            ("a^T b", &at, Layout::Transposed, &b, Layout::RowMajor),
+            ("a b^T", &a, Layout::RowMajor, &bt, Layout::Transposed),
+            ("a^T b^T", &at, Layout::Transposed, &bt, Layout::Transposed),
+        ] {
+            let label = format!("gemm({m},{k},{n}) {what}");
+            let got = sweep(&label, || {
+                ops::matmul_layout(lhs, lhs_layout, rhs, rhs_layout)
+            });
+            assert_eq!(got.shape(), &[m, n], "{label}");
+            assert_eq!(bits(&got), want, "{label}: != naive");
+        }
     }
 }
 

@@ -1,8 +1,292 @@
 //! Property-based tests of the tensor algebra's invariants.
 
-use aibench_tensor::ops::{conv2d, matmul, matmul_naive, slice_axis, Conv2dArgs};
+use aibench_tensor::ops::{
+    conv2d, conv2d_backward_input, conv2d_backward_weight, matmul, matmul_naive, slice_axis,
+    Conv2dArgs, ConvAlgo,
+};
 use aibench_tensor::{broadcast_shapes, ops::concat, Rng, Tensor};
 use proptest::prelude::*;
+
+// ---------------------------------------------------------------------
+// Oracles for the row walker: the flat-index decode loops that `zip`,
+// `sum_to` and `permute` ran before they shared one strided traversal.
+// Slow (a division and a remainder per element per dimension) but obviously
+// right, and the walker must reproduce them bit for bit.
+// ---------------------------------------------------------------------
+
+fn row_major_strides(dims: &[usize]) -> Vec<usize> {
+    let mut strides = vec![1; dims.len()];
+    for i in (0..dims.len().saturating_sub(1)).rev() {
+        strides[i] = strides[i + 1] * dims[i + 1];
+    }
+    strides
+}
+
+/// Strides of `dims` read as if broadcast to `target` (0 where it repeats).
+fn broadcast_strides(dims: &[usize], target: &[usize]) -> Vec<usize> {
+    let strides = row_major_strides(dims);
+    let offset = target.len() - dims.len();
+    let mut out = vec![0; target.len()];
+    for i in 0..dims.len() {
+        if !(dims[i] == 1 && target[offset + i] != 1) {
+            out[offset + i] = strides[i];
+        }
+    }
+    out
+}
+
+/// Decodes `flat` over `strides` and re-encodes it over each of `operands`.
+fn decode<const N: usize>(flat: usize, strides: &[usize], operands: [&[usize]; N]) -> [usize; N] {
+    let mut rem = flat;
+    let mut at = [0; N];
+    for (d, &stride) in strides.iter().enumerate() {
+        let coord = rem / stride;
+        rem %= stride;
+        for (a, operand) in at.iter_mut().zip(operands) {
+            *a += coord * operand[d];
+        }
+    }
+    at
+}
+
+fn zip_ref(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    let out_shape = broadcast_shapes(a.shape(), b.shape()).expect("shapes broadcast");
+    let sa = broadcast_strides(a.shape(), &out_shape);
+    let sb = broadcast_strides(b.shape(), &out_shape);
+    let out_strides = row_major_strides(&out_shape);
+    let n: usize = out_shape.iter().product();
+    let data = (0..n)
+        .map(|flat| {
+            let [ia, ib] = decode(flat, &out_strides, [&sa, &sb]);
+            f(a.data()[ia], b.data()[ib])
+        })
+        .collect();
+    Tensor::from_vec(data, &out_shape)
+}
+
+fn sum_to_ref(a: &Tensor, target: &[usize]) -> Tensor {
+    let st = broadcast_strides(target, a.shape());
+    let strides = row_major_strides(a.shape());
+    let mut out = Tensor::zeros(target);
+    for (flat, &v) in a.data().iter().enumerate() {
+        let [it] = decode(flat, &strides, [&st]);
+        out.data_mut()[it] += v;
+    }
+    out
+}
+
+fn permute_ref(a: &Tensor, perm: &[usize]) -> Tensor {
+    let out_shape: Vec<usize> = perm.iter().map(|&p| a.shape()[p]).collect();
+    let in_strides = row_major_strides(a.shape());
+    let src_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
+    let out_strides = row_major_strides(&out_shape);
+    let data = (0..a.len())
+        .map(|flat| a.data()[decode(flat, &out_strides, [&src_strides])[0]])
+        .collect();
+    Tensor::from_vec(data, &out_shape)
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+fn randn(shape: &[usize], seed: u64) -> Tensor {
+    Tensor::randn(shape, &mut Rng::seed_from(seed))
+}
+
+/// `dims` with every dimension whose `mask` bit is set collapsed to 1, then
+/// up to `strip` leading 1s removed: one operand of a broadcast whose
+/// result has (at most) `dims`' extents, possibly of lower rank.
+fn broadcast_source(dims: &[usize], mask: usize, strip: usize) -> Vec<usize> {
+    let full: Vec<usize> = dims
+        .iter()
+        .enumerate()
+        .map(|(d, &extent)| if mask >> d & 1 == 1 { 1 } else { extent })
+        .collect();
+    let leading_ones = full.iter().take_while(|&&e| e == 1).count();
+    full[strip.min(leading_ones)..].to_vec()
+}
+
+fn assert_zip_matches_oracle(a_shape: &[usize], b_shape: &[usize], seed: u64) {
+    let (a, b) = (randn(a_shape, seed), randn(b_shape, seed ^ 0x5a));
+    // Not commutative, so swapped operands or offsets show.
+    let f = |x: f32, y: f32| x * 0.5 - y;
+    let (got, want) = (a.zip(&b, f), zip_ref(&a, &b, f));
+    assert_eq!(got.shape(), want.shape(), "zip {a_shape:?} x {b_shape:?}");
+    assert_eq!(bits(&got), bits(&want), "zip {a_shape:?} x {b_shape:?}");
+}
+
+fn assert_sum_to_matches_oracle(shape: &[usize], target: &[usize], seed: u64) {
+    let a = randn(shape, seed);
+    let (got, want) = (a.sum_to(target), sum_to_ref(&a, target));
+    assert_eq!(got.shape(), target, "sum_to {shape:?} -> {target:?}");
+    assert_eq!(bits(&got), bits(&want), "sum_to {shape:?} -> {target:?}");
+}
+
+/// The shapes the walker's merge rule has to get right, spelled out:
+/// rank 0, a per-channel `[1,c,1,1]` against NCHW, operands of different
+/// rank, size-1 dimensions at the front, middle and back, zero-extent
+/// dimensions, and broadcast patterns that alternate so that no two
+/// dimensions merge.
+#[test]
+fn walker_matches_the_decode_loops_on_named_shapes() {
+    let pairs: &[(&[usize], &[usize])] = &[
+        (&[], &[3]),
+        (&[2, 3], &[]),
+        (&[1], &[1, 1]),
+        (&[2, 3, 4, 5], &[1, 3, 1, 1]),
+        (&[1, 3, 1, 1], &[2, 3, 4, 5]),
+        (&[4, 6], &[6]),
+        (&[4, 6], &[4, 1]),
+        (&[4, 1], &[1, 6]),
+        (&[2, 1, 3, 1, 2], &[1, 4, 1, 5, 1]),
+        (&[2, 3, 4], &[3, 1]),
+        (&[1, 2, 1, 3, 1], &[2, 1, 3]),
+        (&[5, 1, 1], &[1, 1, 7]),
+        (&[2, 0, 3], &[1, 1, 3]),
+        (&[0], &[1]),
+        (&[3, 0], &[3, 1]),
+    ];
+    for (i, &(a, b)) in pairs.iter().enumerate() {
+        assert_zip_matches_oracle(a, b, i as u64);
+        let out = broadcast_shapes(a, b).expect("pair broadcasts");
+        assert_sum_to_matches_oracle(&out, a, 100 + i as u64);
+        assert_sum_to_matches_oracle(&out, b, 200 + i as u64);
+    }
+    let perms: &[(&[usize], &[usize])] = &[
+        (&[], &[]),
+        (&[5], &[0]),
+        (&[3, 4], &[1, 0]),
+        (&[2, 3, 4], &[0, 2, 1]),
+        (&[2, 3, 4], &[2, 0, 1]),
+        (&[2, 1, 4, 1], &[3, 2, 1, 0]),
+        (&[2, 3, 4, 5], &[0, 2, 3, 1]),
+        (&[2, 3, 4, 5], &[1, 0, 2, 3]),
+        (&[2, 0, 4], &[2, 1, 0]),
+    ];
+    for (i, &(shape, perm)) in perms.iter().enumerate() {
+        let a = randn(shape, 300 + i as u64);
+        let (got, want) = (a.permute(perm), permute_ref(&a, perm));
+        assert_eq!(got.shape(), want.shape(), "permute {shape:?} by {perm:?}");
+        assert_eq!(bits(&got), bits(&want), "permute {shape:?} by {perm:?}");
+    }
+    for &(r, c) in &[(1, 1), (1, 7), (7, 1), (31, 33), (32, 64), (65, 40), (0, 3)] {
+        let a = randn(&[r, c], 400 + (r * c) as u64);
+        assert_eq!(a.t(), permute_ref(&a, &[1, 0]), "t() of [{r},{c}]");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Oracles for the span-copy unfold: per-element im2col / col2im with a
+// bounds test on every tap, multiplied by the naive GEMM.
+// ---------------------------------------------------------------------
+
+/// `(c, h, w, kh, kw, ho, wo)` of one sample's unfold.
+type Unfold = (usize, usize, usize, usize, usize, usize, usize);
+
+/// Visits every in-bounds tap as `(flat input index, flat im2col index)`,
+/// in `(ci, ki, kj, oy, ox)` order.
+fn for_each_tap(
+    (c, h, w, kh, kw, ho, wo): Unfold,
+    args: Conv2dArgs,
+    mut f: impl FnMut(usize, usize),
+) {
+    for ci in 0..c {
+        for ki in 0..kh {
+            for kj in 0..kw {
+                let row = (ci * kh + ki) * kw + kj;
+                for oy in 0..ho {
+                    for ox in 0..wo {
+                        let iy = (oy * args.stride + ki) as isize - args.pad as isize;
+                        let ix = (ox * args.stride + kj) as isize - args.pad as isize;
+                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                            let at = (ci * h + iy as usize) * w + ix as usize;
+                            f(at, row * ho * wo + oy * wo + ox);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every conv kernel against its per-element oracle, bit for bit, over
+/// strides 1-3 and paddings from none to wider than the kernel, on
+/// geometries that include a kernel wider than the unpadded input, a
+/// one-row input and one-wide outputs. `co` is sized so each case takes the
+/// im2col lowering.
+#[test]
+fn span_unfold_matches_the_per_element_unfold() {
+    let geometries: &[(usize, usize, usize, usize, usize)] = &[
+        // (ci, h, w, kh, kw)
+        (2, 6, 7, 3, 3),
+        (3, 5, 2, 3, 3), // kernel wider than the unpadded input
+        (2, 1, 9, 1, 3), // one-row input
+        (1, 4, 4, 4, 4), // one output position without padding
+        (2, 7, 5, 2, 5),
+    ];
+    let n = 2;
+    for &(ci, h, w, kh, kw) in geometries {
+        for stride in 1..=3 {
+            for pad in [0, 1, 2, kh.max(kw) + 1] {
+                if h + 2 * pad < kh || w + 2 * pad < kw {
+                    continue;
+                }
+                let args = Conv2dArgs::new(stride, pad);
+                let (ho, wo) = (args.out_extent(h, kh), args.out_extent(w, kw));
+                let (kdim, cols) = (ci * kh * kw, ho * wo);
+                let co = 8192usize.div_ceil(kdim * cols).max(2);
+                let label = format!("ci{ci} {h}x{w} k{kh}x{kw} s{stride} p{pad} -> {ho}x{wo}");
+                let x = randn(&[n, ci, h, w], (h * w + stride) as u64);
+                let wt = randn(&[co, ci, kh, kw], (kdim + pad) as u64);
+                let g = randn(&[n, co, ho, wo], (cols + co) as u64);
+                assert_eq!(
+                    ConvAlgo::select(x.shape(), wt.shape(), args),
+                    ConvAlgo::Im2colGemm,
+                    "{label}"
+                );
+                let geometry = (ci, h, w, kh, kw, ho, wo);
+                let w2 = wt.reshape(&[co, kdim]);
+                let w2t = permute_ref(&w2, &[1, 0]);
+
+                let mut fwd = Vec::new();
+                let mut bwd_input = Vec::new();
+                let mut bwd_weight = Tensor::zeros(&[co, kdim]);
+                for s in 0..n {
+                    let xs = &x.data()[s * ci * h * w..(s + 1) * ci * h * w];
+                    let gs = &g.data()[s * co * cols..(s + 1) * co * cols];
+                    let gs = Tensor::from_vec(gs.to_vec(), &[co, cols]);
+                    let mut col = Tensor::zeros(&[kdim, cols]);
+                    for_each_tap(geometry, args, |at, cell| col.data_mut()[cell] = xs[at]);
+                    fwd.extend_from_slice(matmul_naive(&w2, &col).data());
+                    let folded_from = matmul_naive(&w2t, &gs);
+                    let mut gx = vec![0.0f32; ci * h * w];
+                    for_each_tap(geometry, args, |at, cell| {
+                        gx[at] += folded_from.data()[cell]
+                    });
+                    bwd_input.extend(gx);
+                    let part = matmul_naive(&gs, &permute_ref(&col, &[1, 0]));
+                    for (acc, &p) in bwd_weight.data_mut().iter_mut().zip(part.data()) {
+                        *acc += p;
+                    }
+                }
+                let fwd = Tensor::from_vec(fwd, &[n, co, ho, wo]);
+                let bwd_input = Tensor::from_vec(bwd_input, &[n, ci, h, w]);
+                assert_eq!(bits(&conv2d(&x, &wt, args)), bits(&fwd), "conv2d {label}");
+                assert_eq!(
+                    bits(&conv2d_backward_input(&g, &wt, (h, w), args)),
+                    bits(&bwd_input),
+                    "conv2d_backward_input {label}"
+                );
+                assert_eq!(
+                    bits(&conv2d_backward_weight(&x, &g, (kh, kw), args)),
+                    bits(&bwd_weight),
+                    "conv2d_backward_weight {label}"
+                );
+            }
+        }
+    }
+}
 
 fn small_dim() -> impl Strategy<Value = usize> {
     1usize..6
@@ -102,5 +386,31 @@ proptest! {
             let x = rng.uniform();
             prop_assert!((0.0..1.0).contains(&x));
         }
+    }
+}
+
+proptest! {
+    // Tiny tensors, so many cases are cheap — and the shapes that matter
+    // (one operand merging dimensions the other cannot) are a small share
+    // of those drawn.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn walker_matches_the_decode_loops(dims in prop::collection::vec(0usize..5, 0..5),
+                                       mask_a in 0usize..32, mask_b in 0usize..32,
+                                       strip_a in 0usize..5, strip_b in 0usize..5,
+                                       order in prop::collection::vec(0usize..5, 5),
+                                       seed in 0u64..1000) {
+        let a = broadcast_source(&dims, mask_a, strip_a);
+        let b = broadcast_source(&dims, mask_b, strip_b);
+        assert_zip_matches_oracle(&a, &b, seed);
+        assert_sum_to_matches_oracle(&dims, &a, seed ^ 1);
+        // A permutation of the axes: sort them by (sampled key, axis).
+        let mut perm: Vec<usize> = (0..dims.len()).collect();
+        perm.sort_by_key(|&d| (order[d], d));
+        let t = randn(&dims, seed ^ 2);
+        let (got, want) = (t.permute(&perm), permute_ref(&t, &perm));
+        prop_assert_eq!(got.shape(), want.shape());
+        prop_assert_eq!(bits(&got), bits(&want), "permute {:?} by {:?}", dims, perm);
     }
 }

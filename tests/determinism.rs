@@ -72,6 +72,44 @@ fn matmul_bitwise_identical_across_threads() {
     bitwise_across_threads("batch_matmul", || ops::batch_matmul(&ba, &bb).into_vec());
 }
 
+/// Transposed operands are packed straight from the transposed buffer, in
+/// pool regions of their own: the product must still be the serial one, and
+/// the one a materialised transpose gives, at every thread count. The
+/// shapes take the packed path with two row blocks and ragged tails; the
+/// batched one takes the in-place path per entry.
+#[test]
+fn transposed_operand_matmul_bitwise_identical_across_threads() {
+    use ops::Layout::{RowMajor, Transposed};
+    let mut rng = Rng::seed_from(17);
+    let a = Tensor::randn(&[131, 270], &mut rng);
+    let at = a.t();
+    let b = Tensor::randn(&[270, 45], &mut rng);
+    let bt = b.t();
+    // Everything that may open a pool region runs inside the sweep, under
+    // its lock: the engagement test counts regions process-wide.
+    for (what, lhs, lhs_layout, rhs, rhs_layout) in [
+        ("matmul a^T", &at, Transposed, &b, RowMajor),
+        ("matmul b^T", &a, RowMajor, &bt, Transposed),
+        ("matmul a^T b^T", &at, Transposed, &bt, Transposed),
+    ] {
+        bitwise_across_threads(what, || {
+            let got = ops::matmul_layout(lhs, lhs_layout, rhs, rhs_layout).into_vec();
+            let want = ops::matmul(&a, &b).into_vec();
+            assert_eq!(got, want, "{what} vs the materialised transpose");
+            got
+        });
+    }
+    let ba = Tensor::randn(&[5, 13, 17], &mut rng);
+    let bb = Tensor::randn(&[5, 17, 7], &mut rng);
+    let (bat, bbt) = (ba.permute(&[0, 2, 1]), bb.permute(&[0, 2, 1]));
+    bitwise_across_threads("batch_matmul a^T b^T", || {
+        let got = ops::batch_matmul_layout(&bat, Transposed, &bbt, Transposed).into_vec();
+        let want = ops::batch_matmul(&ba, &bb).into_vec();
+        assert_eq!(got, want, "batched vs the materialised transposes");
+        got
+    });
+}
+
 #[test]
 fn conv2d_forward_and_backward_bitwise_identical() {
     let mut rng = Rng::seed_from(12);
