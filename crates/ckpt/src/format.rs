@@ -15,8 +15,14 @@
 //! file is covered by the magic comparison, the header CRC, a section CRC,
 //! or the structural length checks — flipping any single byte is detected
 //! (property-tested in `tests/properties.rs`).
+//!
+//! The codec is single-pass: the encoder sizes its output once and writes
+//! each section where it ends up, checksumming it in place; the decoder
+//! reads from the borrowed input; number arrays move as slabs (one length
+//! check, then fixed-width words). `tests/codec_oracle.rs` pins bytes and
+//! errors to the element-wise codec this replaced, and to a golden file.
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, Crc32};
 use crate::state::{State, Value};
 use crate::CkptError;
 
@@ -68,9 +74,17 @@ impl SnapshotFile {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, s)| s)
-            .ok_or_else(|| CkptError::MissingSection {
-                section: name.to_string(),
-            })
+            .ok_or_else(|| missing_section(name))
+    }
+
+    /// Takes one section out by name, dropping the rest: ownership of its
+    /// state without a clone.
+    pub fn into_section(self, name: &str) -> Result<State, CkptError> {
+        self.sections
+            .into_iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, s)| s)
+            .ok_or_else(|| missing_section(name))
     }
 
     /// Iterates sections in file order.
@@ -90,25 +104,49 @@ impl SnapshotFile {
     /// fixtures and version-negotiation tests; real snapshots use
     /// [`SnapshotFile::to_bytes`].
     pub fn to_bytes_with_version(&self, version: u32) -> Vec<u8> {
-        let mut out = Vec::new();
+        let total = self.encoded_len();
+        let mut out = Vec::with_capacity(total);
         out.extend_from_slice(&MAGIC);
-        let header_start = out.len();
         out.extend_from_slice(&version.to_le_bytes());
         out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        let hcrc = crc32(&out[header_start..]);
+        let hcrc = crc32(&out[MAGIC.len()..]);
         out.extend_from_slice(&hcrc.to_le_bytes());
         for (name, state) in &self.sections {
-            let payload = encode_state(state);
             out.extend_from_slice(&(name.len() as u32).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&payload);
-            let mut crc_input = Vec::with_capacity(name.len() + payload.len());
-            crc_input.extend_from_slice(name.as_bytes());
-            crc_input.extend_from_slice(&payload);
-            out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+            // PLEN is patched in once the payload behind it is written.
+            let plen_at = out.len();
+            out.extend_from_slice(&[0; 8]);
+            let payload_start = out.len();
+            encode_state(state, &mut out);
+            let plen = (out.len() - payload_start) as u64;
+            out[plen_at..payload_start].copy_from_slice(&plen.to_le_bytes());
+            let mut crc = Crc32::new();
+            crc.update(name.as_bytes());
+            crc.update(&out[payload_start..]);
+            out.extend_from_slice(&crc.finish().to_le_bytes());
         }
+        debug_assert_eq!(out.len(), total, "encoded_len disagrees with the encoder");
         out
+    }
+
+    /// Exact length of [`SnapshotFile::to_bytes`]'s output.
+    fn encoded_len(&self) -> usize {
+        let value_len = |value: &Value| match value {
+            Value::U64(_) | Value::F64(_) => 8,
+            Value::F32(_) => 4,
+            Value::Bool(_) => 1,
+            Value::Str(v) => 4 + v.len(),
+            Value::F32s { shape, data } => 4 + 8 * shape.len() + 4 * data.len(),
+            Value::U64s(v) => 8 + 8 * v.len(),
+            Value::F64s(v) => 8 + 8 * v.len(),
+        };
+        let entry_len = |(key, value): (&str, &Value)| 4 + key.len() + 1 + value_len(value);
+        let section_len = |(name, state): &(String, State)| {
+            4 + name.len() + 8 + 4 + state.iter().map(entry_len).sum::<usize>() + 4
+        };
+        let header_len = MAGIC.len() + 4 + 4 + 4;
+        header_len + self.sections.iter().map(section_len).sum::<usize>()
     }
 
     /// Strictly decodes a snapshot, failing on the first defect (bad magic,
@@ -135,6 +173,12 @@ impl SnapshotFile {
             });
         }
         Ok(file)
+    }
+}
+
+fn missing_section(name: &str) -> CkptError {
+    CkptError::MissingSection {
+        section: name.to_string(),
     }
 }
 
@@ -193,11 +237,11 @@ fn read_header(r: &mut Reader<'_>) -> Result<(u32, u32), CkptError> {
     if magic != MAGIC {
         return Err(CkptError::BadMagic);
     }
-    let header_body = r.peek(8)?.to_vec();
+    let header_body = r.peek(8)?;
     let version = r.u32()?;
     let count = r.u32()?;
     let hcrc = r.u32()?;
-    if crc32(&header_body) != hcrc {
+    if crc32(header_body) != hcrc {
         return Err(CkptError::HeaderChecksum);
     }
     Ok((version, count))
@@ -206,26 +250,38 @@ fn read_header(r: &mut Reader<'_>) -> Result<(u32, u32), CkptError> {
 fn read_section(r: &mut Reader<'_>) -> Result<(String, State), CkptError> {
     let section_offset = r.offset;
     let nlen = r.u32()? as usize;
-    let name_bytes = r.take(nlen)?.to_vec();
+    let name_bytes = r.take(nlen)?;
     let plen = r.u64()? as usize;
     let payload_offset = r.offset;
-    let payload = r.take(plen)?.to_vec();
-    let crc = r.u32()?;
-    let name = String::from_utf8(name_bytes.clone()).map_err(|_| CkptError::Malformed {
-        offset: section_offset,
-        what: "section name is not UTF-8".to_string(),
-    })?;
-    let mut crc_input = name_bytes;
-    crc_input.extend_from_slice(&payload);
-    if crc32(&crc_input) != crc {
+    let payload = r.take(plen)?;
+    let stored = r.u32()?;
+    let name = std::str::from_utf8(name_bytes)
+        .map_err(|_| CkptError::Malformed {
+            offset: section_offset,
+            what: "section name is not UTF-8".to_string(),
+        })?
+        .to_string();
+    let mut crc = Crc32::new();
+    crc.update(name_bytes);
+    crc.update(payload);
+    if crc.finish() != stored {
         return Err(CkptError::SectionChecksum { section: name });
     }
-    let state = decode_state(&payload, payload_offset)?;
+    let state = decode_state(payload, payload_offset)?;
     Ok((name, state))
 }
 
-fn encode_state(state: &State) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Appends `items` as consecutive `W`-byte little-endian words. The caller
+/// has reserved the room, so this is one fill and one fixed-width pass.
+fn put_slab<T: Copy, const W: usize>(out: &mut Vec<u8>, items: &[T], le: impl Fn(T) -> [u8; W]) {
+    let start = out.len();
+    out.resize(start + items.len() * W, 0);
+    for (dst, &item) in out[start..].chunks_exact_mut(W).zip(items) {
+        dst.copy_from_slice(&le(item));
+    }
+}
+
+fn encode_state(state: &State, out: &mut Vec<u8>) {
     out.extend_from_slice(&(state.len() as u32).to_le_bytes());
     for (key, value) in state.iter() {
         out.extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -255,30 +311,21 @@ fn encode_state(state: &State) -> Vec<u8> {
             Value::F32s { shape, data } => {
                 out.push(TAG_F32S);
                 out.extend_from_slice(&(shape.len() as u32).to_le_bytes());
-                for &d in shape {
-                    out.extend_from_slice(&(d as u64).to_le_bytes());
-                }
-                for v in data {
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
+                put_slab(out, shape, |d| (d as u64).to_le_bytes());
+                put_slab(out, data, |v| v.to_bits().to_le_bytes());
             }
             Value::U64s(v) => {
                 out.push(TAG_U64S);
                 out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
+                put_slab(out, v, u64::to_le_bytes);
             }
             Value::F64s(v) => {
                 out.push(TAG_F64S);
                 out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-                for x in v {
-                    out.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
+                put_slab(out, v, |x| x.to_bits().to_le_bytes());
             }
         }
     }
-    out
 }
 
 fn decode_state(payload: &[u8], base_offset: usize) -> Result<State, CkptError> {
@@ -288,11 +335,11 @@ fn decode_state(payload: &[u8], base_offset: usize) -> Result<State, CkptError> 
     for _ in 0..count {
         let entry_offset = r.offset;
         let klen = r.u32()? as usize;
-        let key = String::from_utf8(r.take(klen)?.to_vec()).map_err(|_| CkptError::Malformed {
+        let key = std::str::from_utf8(r.take(klen)?).map_err(|_| CkptError::Malformed {
             offset: entry_offset,
             what: "entry key is not UTF-8".to_string(),
         })?;
-        if state.get(&key).is_ok() {
+        if state.contains_key(key) {
             return Err(CkptError::Malformed {
                 offset: entry_offset,
                 what: format!("duplicate key `{key}`"),
@@ -306,12 +353,11 @@ fn decode_state(payload: &[u8], base_offset: usize) -> Result<State, CkptError> 
             TAG_BOOL => Value::Bool(r.take(1)?[0] != 0),
             TAG_STR => {
                 let len = r.u32()? as usize;
-                let s =
-                    String::from_utf8(r.take(len)?.to_vec()).map_err(|_| CkptError::Malformed {
-                        offset: entry_offset,
-                        what: format!("string value of `{key}` is not UTF-8"),
-                    })?;
-                Value::Str(s)
+                let s = std::str::from_utf8(r.take(len)?).map_err(|_| CkptError::Malformed {
+                    offset: entry_offset,
+                    what: format!("string value of `{key}` is not UTF-8"),
+                })?;
+                Value::Str(s.to_string())
             }
             TAG_F32S => {
                 let rank = r.u32()? as usize;
@@ -325,27 +371,16 @@ fn decode_state(payload: &[u8], base_offset: usize) -> Result<State, CkptError> 
                     })?;
                     shape.push(d);
                 }
-                let mut data = Vec::with_capacity(elems.min(r.remaining() / 4 + 1));
-                for _ in 0..elems {
-                    data.push(f32::from_bits(r.u32()?));
-                }
+                let data = r.slab(elems, |b| f32::from_bits(u32::from_le_bytes(b)))?;
                 Value::F32s { shape, data }
             }
             TAG_U64S => {
                 let len = r.u64()? as usize;
-                let mut v = Vec::with_capacity(len.min(r.remaining() / 8 + 1));
-                for _ in 0..len {
-                    v.push(r.u64()?);
-                }
-                Value::U64s(v)
+                Value::U64s(r.slab(len, u64::from_le_bytes)?)
             }
             TAG_F64S => {
                 let len = r.u64()? as usize;
-                let mut v = Vec::with_capacity(len.min(r.remaining() / 8 + 1));
-                for _ in 0..len {
-                    v.push(f64::from_bits(r.u64()?));
-                }
-                Value::F64s(v)
+                Value::F64s(r.slab(len, |b| f64::from_bits(u64::from_le_bytes(b)))?)
             }
             other => {
                 return Err(CkptError::Malformed {
@@ -408,16 +443,38 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    fn array<const W: usize>(&mut self) -> Result<[u8; W], CkptError> {
+        let bytes = self.take(W)?;
+        Ok(bytes.try_into().expect("take(W) returns W bytes"))
+    }
+
     fn u32(&mut self) -> Result<u32, CkptError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, CkptError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads `count` consecutive `W`-byte words with one bounds check.
+    ///
+    /// A slab that does not fit fails exactly where reading it word by
+    /// word would: past the last whole word present, needing the rest of
+    /// the next one. A `count` too large to express in bytes cannot fit.
+    fn slab<T, const W: usize>(
+        &mut self,
+        count: usize,
+        from_le: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, CkptError> {
+        let fits = count.checked_mul(W).filter(|&len| len <= self.remaining());
+        let Some(len) = fits else {
+            self.take(self.remaining() / W * W)?;
+            return Err(self.take(W).expect_err("less than a word is left"));
+        };
+        let words = self.take(len)?.chunks_exact(W);
+        Ok(words
+            .map(|w| from_le(w.try_into().expect("chunks_exact(W) yields W bytes")))
+            .collect())
     }
 }
 
@@ -535,6 +592,13 @@ mod tests {
             Err(CkptError::MissingSection { .. })
         ));
         assert!(file.section("meta").is_ok());
+        // Taking a section out yields the same state, or the same error.
+        let meta = file.section("meta").unwrap().clone();
+        assert_eq!(file.clone().into_section("meta"), Ok(meta));
+        assert!(matches!(
+            file.into_section("nope"),
+            Err(CkptError::MissingSection { .. })
+        ));
     }
 
     #[test]

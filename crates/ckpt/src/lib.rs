@@ -41,7 +41,7 @@ mod progress;
 mod sink;
 mod state;
 
-pub use crc32::crc32;
+pub use crc32::{crc32, Crc32};
 pub use error::CkptError;
 pub use format::{validate, SnapshotFile, FORMAT_VERSION, MAGIC};
 pub use progress::PartialRun;

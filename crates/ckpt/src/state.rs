@@ -125,11 +125,13 @@ impl State {
     /// exactly once, under their own prefix.
     pub fn put(&mut self, key: impl Into<String>, value: Value) {
         let key = key.into();
-        assert!(
-            !self.entries.iter().any(|(k, _)| *k == key),
-            "duplicate snapshot key `{key}`"
-        );
+        assert!(!self.contains_key(&key), "duplicate snapshot key `{key}`");
         self.entries.push((key, value));
+    }
+
+    /// Whether `key` is present.
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.entries.iter().any(|(k, _)| k == key)
     }
 
     /// Inserts a `u64`.
@@ -334,6 +336,7 @@ mod tests {
         let mut s = State::new();
         s.put_u64("a", 1);
         assert!(matches!(s.u64("b"), Err(CkptError::MissingKey { .. })));
+        assert!(s.contains_key("a") && !s.contains_key("b"));
         assert!(matches!(s.f32("a"), Err(CkptError::WrongType { .. })));
     }
 

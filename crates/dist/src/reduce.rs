@@ -12,7 +12,7 @@
 //! bitwise identity on finite floats — the basis of the runner's
 //! single-worker-equivalence guarantee.
 
-use aibench_ckpt::crc32;
+use aibench_ckpt::Crc32;
 use aibench_parallel::{parallel_slice_mut, REDUCE_CHUNK};
 
 /// One worker's contribution to a step's all-reduce: its flattened gradient,
@@ -78,13 +78,21 @@ impl GradShard {
     }
 }
 
-/// CRC-32 over the little-endian byte image of a float slice.
+/// CRC-32 over the little-endian byte image of a float slice, streamed
+/// through a stack buffer a fixed number of floats at a time — the image
+/// is never built.
 pub fn crc_of(data: &[f32]) -> u32 {
-    let mut bytes = Vec::with_capacity(data.len() * 4);
-    for x in data {
-        bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+    const LANES: usize = 256;
+    let mut image = [0u8; LANES * 4];
+    let mut crc = Crc32::new();
+    for chunk in data.chunks(LANES) {
+        let bytes = &mut image[..chunk.len() * 4];
+        for (dst, x) in bytes.chunks_exact_mut(4).zip(chunk) {
+            dst.copy_from_slice(&x.to_bits().to_le_bytes());
+        }
+        crc.update(bytes);
     }
-    crc32(&bytes)
+    crc.finish()
 }
 
 /// Reduces the group's surviving contributions into one global gradient and
@@ -208,6 +216,20 @@ mod tests {
         let (b, lb) = tree_reduce(&rev);
         assert_eq!(la.to_bits(), lb.to_bits());
         assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+
+    #[test]
+    fn crc_of_is_the_crc_of_the_byte_image() {
+        // Lengths around the 256-float streaming chunk, and ragged tails.
+        for len in [0, 1, 2, 3, 255, 256, 257, 511, 512, 513, 1033] {
+            let s = shard(0, 1, len as u64 + 5, len);
+            let image: Vec<u8> = s
+                .data()
+                .iter()
+                .flat_map(|x| x.to_bits().to_le_bytes())
+                .collect();
+            assert_eq!(crc_of(s.data()), aibench_ckpt::crc32(&image), "len {len}");
+        }
     }
 
     #[test]

@@ -478,7 +478,7 @@ fn encode(build: impl FnOnce(&mut State)) -> Vec<u8> {
 }
 
 fn msg_state(bytes: &[u8]) -> Result<State, CkptError> {
-    Ok(SnapshotFile::from_bytes(bytes)?.section("msg")?.clone())
+    SnapshotFile::from_bytes(bytes)?.into_section("msg")
 }
 
 impl ClientMsg {

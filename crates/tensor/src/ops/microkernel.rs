@@ -7,9 +7,11 @@
 //! classic three-level blocking scheme (GotoBLAS/BLIS) — operand matrices
 //! repacked into contiguous panels sized for the cache hierarchy, swept by
 //! an `MR x NR` register-tiled microkernel with all `C` accumulators held
-//! in registers; below it, the same register microtile reading `A`/`B` in
-//! place (small operands are already cache-resident, so packing would only
-//! add traffic); and a 32x32 scalar tiled kernel kept as the measurement
+//! in registers; below it, or with fewer than `MR` rows, the same register
+//! microtile reading `A`/`B` in place (small operands are already
+//! cache-resident, so packing would only add traffic, and packing all of
+//! `B` to feed one live row of a tile never pays); and a 32x32 scalar
+//! tiled kernel kept as the measurement
 //! baseline ([`GemmPath::Scalar`]).
 //!
 //! # Operand layouts
@@ -80,8 +82,10 @@ pub const KC: usize = 256;
 
 /// Minimum multiply-add count (`m * k * n`) for the packed path; below it
 /// the repacking overhead outweighs the cache-blocking win and the in-place
-/// register-tiled kernel (`gemm_small`) is used instead. Size-derived
-/// only, so path selection never depends on the thread count.
+/// register-tiled kernel (`gemm_small`) is used instead — as it is for any
+/// product with fewer than [`MR`] rows, whose single ragged row tile would
+/// not repay packing `B`. Size-derived only, so path selection never
+/// depends on the thread count.
 pub const PACK_THRESHOLD_FLOPS: usize = 24 * 1024;
 
 /// Which GEMM implementation `gemm_into` dispatches to.
@@ -208,7 +212,7 @@ pub(crate) fn gemm_into(a: Mat, b: Mat, out: &mut [f32], m: usize, k: usize, n: 
     debug_assert_eq!(out.len(), m * n);
     if gemm_path() == GemmPath::Scalar {
         gemm_tiled(a, b, out, m, k, n);
-    } else if m * k * n >= PACK_THRESHOLD_FLOPS && n >= NR {
+    } else if m >= MR && m * k * n >= PACK_THRESHOLD_FLOPS && n >= NR {
         gemm_packed(a, b, out, m, k, n);
     } else {
         gemm_small(a, b, out, m, k, n);
@@ -355,13 +359,20 @@ fn store_tile(
 /// strip: element `(kk, j)` at `kk * NR + j`, lanes `cols..NR` left as they
 /// are (zero in a fresh buffer). `strip` holds `k_range.len() * NR` floats.
 ///
-/// A row-major `b` is copied a row segment at a time. A transposed `b`
+/// A row-major `b` is copied a row segment at a time (a full-width strip
+/// as fixed `NR`-float moves). A transposed `b`
 /// stores each logical column contiguously along `k`, so it is read a
 /// column at a time — sequentially, in place — and scattered down the
 /// strip's lane; nothing is transposed in memory first.
 fn pack_strip(b: Mat, strip: &mut [f32], k_range: std::ops::Range<usize>, j0: usize, cols: usize) {
     debug_assert_eq!(strip.len(), k_range.len() * NR);
-    if b.cs == 1 {
+    if b.cs == 1 && cols == NR {
+        // A full strip row moves at a fixed width, not by a `memcpy` call.
+        for (kk, dst) in k_range.zip(strip.chunks_exact_mut(NR)) {
+            let at = kk * b.rs + j0;
+            dst.copy_from_slice(&b.data[at..at + NR]);
+        }
+    } else if b.cs == 1 {
         for (kk, dst) in k_range.zip(strip.chunks_exact_mut(NR)) {
             let at = kk * b.rs + j0;
             dst[..cols].copy_from_slice(&b.data[at..at + cols]);

@@ -59,8 +59,9 @@ fn sweep(label: &str, f: impl Fn() -> Tensor) -> Tensor {
 
 /// Odd GEMM shapes: zero-size, 1xN, Nx1, sub-microtile, non-multiples of
 /// every blocking parameter (MR=4, NR=8, TILE=32, MC=64, KC=256), shapes
-/// straddling the packing threshold, and two-row-block shapes one `k` step
-/// below and exactly at the pool-engagement threshold (256 Ki flops).
+/// straddling the packing threshold in flops and in rows (`m < MR` stays in
+/// place however large), and two-row-block shapes one `k` step below and
+/// exactly at the pool-engagement threshold (256 Ki flops).
 #[test]
 fn gemm_all_paths_match_naive_across_threads() {
     let _g = lock_globals();
@@ -81,6 +82,12 @@ fn gemm_all_paths_match_naive_across_threads() {
         (130, 70, 130),
         (128, 31, 32), // 253 952 flops: runs inline
         (128, 32, 32), // 262 144 flops: engages the pool
+        // Fewer than MR rows above the packing threshold: in place, not packed.
+        (1, 108, 256),
+        (2, 300, 50),  // ragged NR
+        (3, 257, 64),  // one k step past KC
+        (3, 300, 160), // engages the pool
+        (4, 108, 64),  // MR rows: the first shape that packs
     ];
     for &(m, k, n) in shapes {
         let a = Tensor::from_vec(fill(m as u64 * 131 + n as u64, m * k), &[m, k]);
@@ -117,6 +124,9 @@ fn gemm_transposed_operands_match_naive_across_threads() {
         (66, 300, 19), // packed: two row blocks, ragged everything
         (64, 512, 40), // packed: whole tiles and panels
         (6, 700, 8),   // packed: three k panels, one strip
+        (1, 108, 256), // above the threshold with < MR rows: in place
+        (2, 300, 50),
+        (3, 257, 64),
     ];
     for &(m, k, n) in shapes {
         let a = Tensor::from_vec(fill(m as u64 * 97 + k as u64, m * k), &[m, k]);
