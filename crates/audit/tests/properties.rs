@@ -28,6 +28,47 @@ fn assert_clean(label: &str, threads: usize, f: impl Fn()) {
     assert!(lints.is_empty(), "{label} at {threads} threads: {lints:?}");
 }
 
+/// Top-level regions of the recording opened under exactly this kernel
+/// label (a kernel's nested regions carry it as a prefix).
+fn calls(report: &aibench_parallel::effects::EffectReport, kernel: &str) -> usize {
+    report.regions.iter().filter(|r| r.kernel == kernel).count()
+}
+
+/// The tape computes no gradient for a node nothing reads: the data tensor
+/// under a network's first convolution or first matmul costs no
+/// backward-input kernel call, while every parameter still gets its own.
+#[test]
+fn gradients_nobody_reads_cost_no_kernel_calls() {
+    use aibench_autograd::{Graph, Param};
+    let mut rng = Rng::seed_from(11);
+    let (w1, w2) = (
+        Param::new("w1", Tensor::randn(&[4, 2, 3, 3], &mut rng)),
+        Param::new("w2", Tensor::randn(&[4, 4, 3, 3], &mut rng)),
+    );
+    let mut g = Graph::new();
+    let x = g.input(Tensor::randn(&[2, 2, 6, 6], &mut rng));
+    let (v1, v2) = (g.param(&w1), g.param(&w2));
+    let h = g.conv2d(x, v1, Conv2dArgs::new(1, 1));
+    let y = g.conv2d(h, v2, Conv2dArgs::new(1, 1));
+    let loss = g.sum(y);
+    let ((), report) = with_recording(|| g.backward(loss));
+    assert_eq!(calls(&report, "conv2d_bwd_weight"), 2);
+    assert_eq!(calls(&report, "conv2d_bwd_input"), 1, "only into `h`");
+
+    let (m1, m2) = (
+        Param::new("m1", Tensor::randn(&[8, 8], &mut rng)),
+        Param::new("m2", Tensor::randn(&[8, 8], &mut rng)),
+    );
+    let mut g = Graph::new();
+    let x = g.input(Tensor::randn(&[8, 8], &mut rng));
+    let (v1, v2) = (g.param(&m1), g.param(&m2));
+    let h = g.matmul(x, v1);
+    let y = g.matmul(h, v2);
+    let loss = g.sum(y);
+    let ((), report) = with_recording(|| g.backward(loss));
+    assert_eq!(calls(&report, "gemm"), 3, "dW2, dH and dW1, but no dX");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -16,14 +16,33 @@ pub struct Var(pub(crate) usize);
 /// Gradient accumulator passed to backward closures.
 pub(crate) struct GradMap {
     grads: Vec<Option<Tensor>>,
+    /// The tape's `needs_grad` bit per node: which slots anything reads.
+    wanted: Vec<bool>,
 }
 
 impl GradMap {
-    /// Adds `g` into the gradient slot for `v`.
-    pub(crate) fn accumulate(&mut self, v: Var, g: Tensor) {
+    /// One empty slot per node of `nodes`, seeded with `d loss / d loss`.
+    fn seeded(nodes: &[Node], loss: Var) -> Self {
+        let mut grads: Vec<Option<Tensor>> = nodes.iter().map(|_| None).collect();
+        grads[loss.0] = Some(Tensor::ones(nodes[loss.0].value.shape()));
+        GradMap {
+            grads,
+            wanted: nodes.iter().map(|n| n.needs_grad).collect(),
+        }
+    }
+
+    /// Adds `grad()` into the gradient slot for `v` — if `v` wants one. A
+    /// constant leaf, or an op over constants only, feeds nothing: the walk
+    /// skips its slot, so its gradient is not computed in the first place
+    /// (the input gradient of a network's first convolution or first
+    /// matmul, typically).
+    pub(crate) fn accumulate_with(&mut self, v: Var, grad: impl FnOnce() -> Tensor) {
+        if !self.wanted[v.0] {
+            return;
+        }
         match &mut self.grads[v.0] {
-            Some(acc) => acc.add_scaled_inplace(&g, 1.0),
-            slot @ None => *slot = Some(g),
+            Some(acc) => acc.add_scaled_inplace(&grad(), 1.0),
+            slot @ None => *slot = Some(grad()),
         }
     }
 }
@@ -150,10 +169,7 @@ impl Graph {
             "backward: loss must be scalar, got shape {:?}",
             self.nodes[loss.0].value.shape()
         );
-        let mut gm = GradMap {
-            grads: (0..self.nodes.len()).map(|_| None).collect(),
-        };
-        gm.grads[loss.0] = Some(Tensor::ones(self.nodes[loss.0].value.shape()));
+        let mut gm = GradMap::seeded(&self.nodes, loss);
         for i in (0..=loss.0).rev() {
             if !self.nodes[i].needs_grad {
                 continue;
@@ -171,7 +187,8 @@ impl Graph {
     }
 
     /// Like [`Graph::backward`] but returns the gradient that reached each
-    /// of `watch` (zero tensors if none did). Used by gradient checking.
+    /// of `watch` (zero tensors if none did — none is ever computed for a
+    /// node that does not need one). Used by gradient checking.
     ///
     /// # Panics
     ///
@@ -182,10 +199,7 @@ impl Graph {
             1,
             "backward: loss must be scalar"
         );
-        let mut gm = GradMap {
-            grads: (0..self.nodes.len()).map(|_| None).collect(),
-        };
-        gm.grads[loss.0] = Some(Tensor::ones(self.nodes[loss.0].value.shape()));
+        let mut gm = GradMap::seeded(&self.nodes, loss);
         for i in (0..=loss.0).rev() {
             if !self.nodes[i].needs_grad {
                 continue;
@@ -254,6 +268,33 @@ mod tests {
         let loss = g.sum(s);
         g.backward(loss);
         assert_eq!(p.grad().data(), &[2.0, 2.0, 2.0]);
+    }
+
+    /// A backward closure's contribution to a node nothing reads is never
+    /// evaluated; the one to a parameter is, once.
+    #[test]
+    fn gradients_nobody_reads_are_not_computed() {
+        use std::cell::Cell;
+        let (for_input, for_param) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+        let p = Param::new("w", Tensor::ones(&[3]));
+        let mut g = Graph::new();
+        let x = g.input(Tensor::ones(&[3]));
+        let w = g.param(&p);
+        let (seen_x, seen_w) = (Rc::clone(&for_input), Rc::clone(&for_param));
+        let y = g.op(Tensor::ones(&[3]), &[x, w], move |grad, gm| {
+            gm.accumulate_with(x, || {
+                seen_x.set(seen_x.get() + 1);
+                grad.clone()
+            });
+            gm.accumulate_with(w, || {
+                seen_w.set(seen_w.get() + 1);
+                grad.clone()
+            });
+        });
+        let loss = g.sum(y);
+        g.backward(loss);
+        assert_eq!((for_input.get(), for_param.get()), (0, 1));
+        assert_eq!(p.grad().data(), &[1.0, 1.0, 1.0]);
     }
 
     #[test]

@@ -25,8 +25,8 @@ impl Graph {
         let out = va.add(&vb);
         let (sa, sb) = (va.shape().to_vec(), vb.shape().to_vec());
         self.op(out, &[a, b], move |g, gm| {
-            gm.accumulate(a, g.sum_to(&sa));
-            gm.accumulate(b, g.sum_to(&sb));
+            gm.accumulate_with(a, || g.sum_to(&sa));
+            gm.accumulate_with(b, || g.sum_to(&sb));
         })
     }
 
@@ -43,8 +43,8 @@ impl Graph {
         let out = va.sub(&vb);
         let (sa, sb) = (va.shape().to_vec(), vb.shape().to_vec());
         self.op(out, &[a, b], move |g, gm| {
-            gm.accumulate(a, g.sum_to(&sa));
-            gm.accumulate(b, g.neg().sum_to(&sb));
+            gm.accumulate_with(a, || g.sum_to(&sa));
+            gm.accumulate_with(b, || g.neg().sum_to(&sb));
         })
     }
 
@@ -61,8 +61,8 @@ impl Graph {
         let out = va.mul(&vb);
         let (sa, sb) = (va.shape().to_vec(), vb.shape().to_vec());
         self.op(out, &[a, b], move |g, gm| {
-            gm.accumulate(a, g.mul(&vb).sum_to(&sa));
-            gm.accumulate(b, g.mul(&va).sum_to(&sb));
+            gm.accumulate_with(a, || g.mul(&vb).sum_to(&sa));
+            gm.accumulate_with(b, || g.mul(&va).sum_to(&sb));
         })
     }
 
@@ -79,23 +79,25 @@ impl Graph {
         let out = va.div(&vb);
         let (sa, sb) = (va.shape().to_vec(), vb.shape().to_vec());
         self.op(out, &[a, b], move |g, gm| {
-            gm.accumulate(a, g.div(&vb).sum_to(&sa));
+            gm.accumulate_with(a, || g.div(&vb).sum_to(&sa));
             let gb = g.mul(&va).div(&vb).div(&vb).neg();
-            gm.accumulate(b, gb.sum_to(&sb));
+            gm.accumulate_with(b, || gb.sum_to(&sb));
         })
     }
 
     /// Multiplies by a constant scalar.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
         let va = Rc::clone(&self.nodes[a.0].value);
-        self.op(va.scale(c), &[a], move |g, gm| gm.accumulate(a, g.scale(c)))
+        self.op(va.scale(c), &[a], move |g, gm| {
+            gm.accumulate_with(a, || g.scale(c))
+        })
     }
 
     /// Adds a constant scalar.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
         let va = Rc::clone(&self.nodes[a.0].value);
         self.op(va.add_scalar(c), &[a], move |g, gm| {
-            gm.accumulate(a, g.clone())
+            gm.accumulate_with(a, || g.clone())
         })
     }
 
@@ -113,7 +115,7 @@ impl Graph {
         let va = Rc::clone(&self.nodes[a.0].value);
         let out = va.map(|x| x.max(0.0));
         self.op(out, &[a], move |g, gm| {
-            gm.accumulate(a, g.zip(&va, |gi, xi| if xi > 0.0 { gi } else { 0.0 }));
+            gm.accumulate_with(a, || g.zip(&va, |gi, xi| if xi > 0.0 { gi } else { 0.0 }));
         })
     }
 
@@ -122,10 +124,9 @@ impl Graph {
         let va = Rc::clone(&self.nodes[a.0].value);
         let out = va.map(|x| if x > 0.0 { x } else { slope * x });
         self.op(out, &[a], move |g, gm| {
-            gm.accumulate(
-                a,
-                g.zip(&va, |gi, xi| if xi > 0.0 { gi } else { slope * gi }),
-            );
+            gm.accumulate_with(a, || {
+                g.zip(&va, |gi, xi| if xi > 0.0 { gi } else { slope * gi })
+            });
         })
     }
 
@@ -135,7 +136,7 @@ impl Graph {
         let y = va.map(|x| 1.0 / (1.0 + (-x).exp()));
         let yc = y.clone();
         self.op(y, &[a], move |g, gm| {
-            gm.accumulate(a, g.zip(&yc, |gi, yi| gi * yi * (1.0 - yi)));
+            gm.accumulate_with(a, || g.zip(&yc, |gi, yi| gi * yi * (1.0 - yi)));
         })
     }
 
@@ -145,7 +146,7 @@ impl Graph {
         let y = va.map(f32::tanh);
         let yc = y.clone();
         self.op(y, &[a], move |g, gm| {
-            gm.accumulate(a, g.zip(&yc, |gi, yi| gi * (1.0 - yi * yi)));
+            gm.accumulate_with(a, || g.zip(&yc, |gi, yi| gi * (1.0 - yi * yi)));
         })
     }
 
@@ -154,7 +155,7 @@ impl Graph {
         let va = Rc::clone(&self.nodes[a.0].value);
         let y = va.map(f32::exp);
         let yc = y.clone();
-        self.op(y, &[a], move |g, gm| gm.accumulate(a, g.mul(&yc)))
+        self.op(y, &[a], move |g, gm| gm.accumulate_with(a, || g.mul(&yc)))
     }
 
     /// Elementwise natural logarithm, clamped below at `1e-12` for
@@ -163,7 +164,7 @@ impl Graph {
         let va = Rc::clone(&self.nodes[a.0].value);
         let y = va.map(|x| x.max(1e-12).ln());
         self.op(y, &[a], move |g, gm| {
-            gm.accumulate(a, g.zip(&va, |gi, xi| gi / xi.max(1e-12)));
+            gm.accumulate_with(a, || g.zip(&va, |gi, xi| gi / xi.max(1e-12)));
         })
     }
 
@@ -172,7 +173,7 @@ impl Graph {
         let va = Rc::clone(&self.nodes[a.0].value);
         let y = va.map(|x| x * x);
         self.op(y, &[a], move |g, gm| {
-            gm.accumulate(a, g.zip(&va, |gi, xi| 2.0 * gi * xi));
+            gm.accumulate_with(a, || g.zip(&va, |gi, xi| 2.0 * gi * xi));
         })
     }
 
@@ -182,7 +183,7 @@ impl Graph {
         let y = va.map(|x| x.max(0.0).sqrt());
         let yc = y.clone();
         self.op(y, &[a], move |g, gm| {
-            gm.accumulate(a, g.zip(&yc, |gi, yi| gi / (2.0 * yi.max(1e-8))));
+            gm.accumulate_with(a, || g.zip(&yc, |gi, yi| gi / (2.0 * yi.max(1e-8))));
         })
     }
 
@@ -191,12 +192,11 @@ impl Graph {
         let va = Rc::clone(&self.nodes[a.0].value);
         let y = va.map(f32::abs);
         self.op(y, &[a], move |g, gm| {
-            gm.accumulate(
-                a,
+            gm.accumulate_with(a, || {
                 g.zip(&va, |gi, xi| {
                     gi * xi.signum() * if xi == 0.0 { 0.0 } else { 1.0 }
-                }),
-            );
+                })
+            });
         })
     }
 
@@ -219,7 +219,7 @@ impl Graph {
                     dst[i] = (gr[i] - dot) * yr[i];
                 }
             }
-            gm.accumulate(a, gx);
+            gm.accumulate_with(a, || gx);
         })
     }
 
@@ -242,7 +242,7 @@ impl Graph {
                     dst[i] = gr[i] - pr[i] * gsum;
                 }
             }
-            gm.accumulate(a, gx);
+            gm.accumulate_with(a, || gx);
         })
     }
 
@@ -255,7 +255,7 @@ impl Graph {
         let va = Rc::clone(&self.nodes[a.0].value);
         let shape = va.shape().to_vec();
         self.op(Tensor::scalar(va.sum()), &[a], move |g, gm| {
-            gm.accumulate(a, Tensor::full(&shape, g.item()));
+            gm.accumulate_with(a, || Tensor::full(&shape, g.item()));
         })
     }
 
@@ -293,7 +293,7 @@ impl Graph {
                     }
                 }
             }
-            gm.accumulate(a, gx);
+            gm.accumulate_with(a, || gx);
         })
     }
 
@@ -323,7 +323,7 @@ impl Graph {
         let out = va.reshape(shape);
         let in_shape = va.shape().to_vec();
         self.op(out, &[a], move |g, gm| {
-            gm.accumulate(a, g.reshape(&in_shape))
+            gm.accumulate_with(a, || g.reshape(&in_shape))
         })
     }
 
@@ -334,7 +334,7 @@ impl Graph {
     /// Panics if the node is not 2-D.
     pub fn transpose(&mut self, a: Var) -> Var {
         let va = Rc::clone(&self.nodes[a.0].value);
-        self.op(va.t(), &[a], move |g, gm| gm.accumulate(a, g.t()))
+        self.op(va.t(), &[a], move |g, gm| gm.accumulate_with(a, || g.t()))
     }
 
     /// Permutes dimensions; `perm[i]` is the source axis of output axis `i`.
@@ -350,7 +350,9 @@ impl Graph {
         for (i, &p) in perm.iter().enumerate() {
             inv[p] = i;
         }
-        self.op(out, &[a], move |g, gm| gm.accumulate(a, g.permute(&inv)))
+        self.op(out, &[a], move |g, gm| {
+            gm.accumulate_with(a, || g.permute(&inv))
+        })
     }
 }
 

@@ -25,8 +25,8 @@ impl Graph {
         let (h, wd) = (vx.shape()[2], vx.shape()[3]);
         let (kh, kw) = (vw.shape()[2], vw.shape()[3]);
         self.op(out, &[x, w], move |g, gm| {
-            gm.accumulate(x, conv2d_backward_input(g, &vw, (h, wd), args));
-            gm.accumulate(w, conv2d_backward_weight(&vx, g, (kh, kw), args));
+            gm.accumulate_with(x, || conv2d_backward_input(g, &vw, (h, wd), args));
+            gm.accumulate_with(w, || conv2d_backward_weight(&vx, g, (kh, kw), args));
         })
     }
 
@@ -64,9 +64,9 @@ impl Graph {
         let out = conv2d_backward_input(&vx, &vw, out_hw, args);
         self.op(out, &[x, w], move |g, gm| {
             // Backward wrt x == forward convolution of the output gradient.
-            gm.accumulate(x, conv2d(g, &vw, args));
+            gm.accumulate_with(x, || conv2d(g, &vw, args));
             // Backward wrt w == weight gradient with (g, x) in the conv roles.
-            gm.accumulate(w, conv2d_backward_weight(g, &vx, (kh, kw), args));
+            gm.accumulate_with(w, || conv2d_backward_weight(g, &vx, (kh, kw), args));
         })
     }
 
@@ -80,7 +80,7 @@ impl Graph {
         let (out, winners) = max_pool2d(&vx, k, stride);
         let in_shape = vx.shape().to_vec();
         self.op(out, &[x], move |g, gm| {
-            gm.accumulate(x, max_pool2d_backward(g, &winners, &in_shape));
+            gm.accumulate_with(x, || max_pool2d_backward(g, &winners, &in_shape));
         })
     }
 
@@ -94,7 +94,7 @@ impl Graph {
         let out = avg_pool2d(&vx, k, stride);
         let in_shape = vx.shape().to_vec();
         self.op(out, &[x], move |g, gm| {
-            gm.accumulate(x, avg_pool2d_backward(g, &in_shape, k, stride));
+            gm.accumulate_with(x, || avg_pool2d_backward(g, &in_shape, k, stride));
         })
     }
 

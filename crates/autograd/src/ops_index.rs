@@ -42,7 +42,7 @@ impl Graph {
                     *a += b;
                 }
             }
-            gm.accumulate(table, gt);
+            gm.accumulate_with(table, || gt);
         })
     }
 
@@ -64,7 +64,7 @@ impl Graph {
         self.op(out, &parts.clone(), move |g, gm| {
             let mut start = 0;
             for (p, &ext) in parts.iter().zip(&extents) {
-                gm.accumulate(*p, slice_axis(g, axis, start, ext));
+                gm.accumulate_with(*p, || slice_axis(g, axis, start, ext));
                 start += ext;
             }
         })
@@ -91,7 +91,7 @@ impl Graph {
                 gx.data_mut()[dst..dst + src_chunk]
                     .copy_from_slice(&g.data()[o * src_chunk..(o + 1) * src_chunk]);
             }
-            gm.accumulate(x, gx);
+            gm.accumulate_with(x, || gx);
         })
     }
 }

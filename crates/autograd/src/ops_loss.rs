@@ -63,7 +63,7 @@ impl Graph {
                     row.iter_mut().for_each(|v| *v *= scale);
                 }
             }
-            gm.accumulate(logits, gx);
+            gm.accumulate_with(logits, || gx);
         })
     }
 
@@ -79,7 +79,7 @@ impl Graph {
         let diff = vp.sub(target);
         let out = Tensor::scalar(diff.sq_norm() / n);
         self.op(out, &[pred], move |g, gm| {
-            gm.accumulate(pred, diff.scale(2.0 * g.item() / n));
+            gm.accumulate_with(pred, || diff.scale(2.0 * g.item() / n));
         })
     }
 
@@ -106,7 +106,7 @@ impl Graph {
         let out = Tensor::scalar(loss as f32 / n);
         self.op(out, &[logits], move |g, gm| {
             let scale = g.item() / n;
-            gm.accumulate(logits, sig.sub(&targets).scale(scale));
+            gm.accumulate_with(logits, || sig.sub(&targets).scale(scale));
         })
     }
 
@@ -123,7 +123,7 @@ impl Graph {
         let out = Tensor::scalar(diff.data().iter().map(|d| d.abs()).sum::<f32>() / n);
         self.op(out, &[pred], move |g, gm| {
             let scale = g.item() / n;
-            gm.accumulate(pred, diff.map(|d| d.signum() * scale));
+            gm.accumulate_with(pred, || diff.map(|d| d.signum() * scale));
         })
     }
 
@@ -152,10 +152,9 @@ impl Graph {
             / n;
         self.op(Tensor::scalar(loss), &[pred], move |g, gm| {
             let scale = g.item() / n;
-            gm.accumulate(
-                pred,
-                diff.map(|d| if d.abs() < 1.0 { d } else { d.signum() } * scale),
-            );
+            gm.accumulate_with(pred, || {
+                diff.map(|d| if d.abs() < 1.0 { d } else { d.signum() } * scale)
+            });
         })
     }
 }

@@ -19,14 +19,12 @@ impl Graph {
         let out = matmul(&va, &vb);
         self.op(out, &[a, b], move |g, gm| {
             // dA = g x B^T and dB = A^T x g, the transposes read in place.
-            gm.accumulate(
-                a,
-                matmul_layout(g, Layout::RowMajor, &vb, Layout::Transposed),
-            );
-            gm.accumulate(
-                b,
-                matmul_layout(&va, Layout::Transposed, g, Layout::RowMajor),
-            );
+            gm.accumulate_with(a, || {
+                matmul_layout(g, Layout::RowMajor, &vb, Layout::Transposed)
+            });
+            gm.accumulate_with(b, || {
+                matmul_layout(&va, Layout::Transposed, g, Layout::RowMajor)
+            });
         })
     }
 
@@ -42,14 +40,12 @@ impl Graph {
         );
         let out = batch_matmul(&va, &vb);
         self.op(out, &[a, b], move |g, gm| {
-            gm.accumulate(
-                a,
-                batch_matmul_layout(g, Layout::RowMajor, &vb, Layout::Transposed),
-            );
-            gm.accumulate(
-                b,
-                batch_matmul_layout(&va, Layout::Transposed, g, Layout::RowMajor),
-            );
+            gm.accumulate_with(a, || {
+                batch_matmul_layout(g, Layout::RowMajor, &vb, Layout::Transposed)
+            });
+            gm.accumulate_with(b, || {
+                batch_matmul_layout(&va, Layout::Transposed, g, Layout::RowMajor)
+            });
         })
     }
 

@@ -116,9 +116,9 @@ impl Graph {
                     }
                 }
             }
-            gm.accumulate(x, gx);
-            gm.accumulate(gamma, Tensor::from_vec(dgamma, &[c]));
-            gm.accumulate(beta, Tensor::from_vec(dbeta, &[c]));
+            gm.accumulate_with(x, || gx);
+            gm.accumulate_with(gamma, || Tensor::from_vec(dgamma, &[c]));
+            gm.accumulate_with(beta, || Tensor::from_vec(dbeta, &[c]));
         });
         (out, mean_t, var_t)
     }
@@ -210,9 +210,9 @@ impl Graph {
                     dst[i] = inv_std * (dxh - sum_dxh / d as f32 - xrow[i] * sum_dxh_xh / d as f32);
                 }
             }
-            gm.accumulate(x, gx);
-            gm.accumulate(gamma, Tensor::from_vec(dgamma, &[d]));
-            gm.accumulate(beta, Tensor::from_vec(dbeta, &[d]));
+            gm.accumulate_with(x, || gx);
+            gm.accumulate_with(gamma, || Tensor::from_vec(dgamma, &[d]));
+            gm.accumulate_with(beta, || Tensor::from_vec(dbeta, &[d]));
         })
     }
 
@@ -240,7 +240,9 @@ impl Graph {
             }
         });
         let out = vx.mul(&mask);
-        self.op(out, &[x], move |g, gm| gm.accumulate(x, g.mul(&mask)))
+        self.op(out, &[x], move |g, gm| {
+            gm.accumulate_with(x, || g.mul(&mask))
+        })
     }
 }
 

@@ -67,7 +67,7 @@ impl Graph {
                     }
                 }
             }
-            gm.accumulate(theta, gt);
+            gm.accumulate_with(theta, || gt);
         })
     }
 
@@ -170,8 +170,8 @@ impl Graph {
                     }
                 }
             }
-            gm.accumulate(input, gx);
-            gm.accumulate(grid, gg);
+            gm.accumulate_with(input, || gx);
+            gm.accumulate_with(grid, || gg);
         })
     }
 }

@@ -324,9 +324,8 @@ fn main() {
     aibench_parallel::ParallelConfig::from_env().install();
     println!("aibench-perf ({SCHEMA_VERSION})");
     println!(
-        "threads={}  simd={}  dir={}",
+        "threads={}  dir={}",
         aibench_parallel::threads(),
-        cfg!(feature = "simd"),
         dir.display()
     );
     println!();
@@ -347,7 +346,6 @@ fn main() {
         schema: SCHEMA_VERSION.to_string(),
         date: civil_date(now),
         threads: aibench_parallel::threads(),
-        simd: cfg!(feature = "simd"),
         entries,
     };
 

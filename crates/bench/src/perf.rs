@@ -69,8 +69,6 @@ pub struct PerfSnapshot {
     pub date: String,
     /// Worker-thread count the measurements ran with.
     pub threads: usize,
-    /// Whether the binary was built with the `simd` feature.
-    pub simd: bool,
     /// The measured suite, in suite order.
     pub entries: Vec<PerfEntry>,
 }
@@ -84,7 +82,6 @@ impl PerfSnapshot {
         let _ = writeln!(s, "  \"schema\": {},", json_string(&self.schema));
         let _ = writeln!(s, "  \"date\": {},", json_string(&self.date));
         let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"simd\": {},", self.simd);
         s.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
@@ -137,7 +134,6 @@ impl PerfSnapshot {
             schema,
             date: get_str(obj, "date")?,
             threads: get_num(obj, "threads")? as usize,
-            simd: get_bool(obj, "simd")?,
             entries,
         })
     }
@@ -268,12 +264,6 @@ fn get_num(obj: &[(String, json::Value)], key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("field {key:?} is not a number"))
 }
 
-fn get_bool(obj: &[(String, json::Value)], key: &str) -> Result<bool, String> {
-    get(obj, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field {key:?} is not a boolean"))
-}
-
 /// Minimal recursive-descent JSON reader: just enough for the snapshots
 /// this module writes (objects, arrays, strings, numbers, booleans, null).
 mod json {
@@ -306,13 +296,6 @@ mod json {
         pub fn as_num(&self) -> Option<f64> {
             match self {
                 Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-        /// The boolean payload, if this is a boolean.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
                 _ => None,
             }
         }
@@ -497,7 +480,6 @@ mod tests {
             schema: SCHEMA_VERSION.to_string(),
             date: "2026-08-07".to_string(),
             threads: 4,
-            simd: false,
             entries: vec![
                 PerfEntry {
                     name: "gemm_256".into(),
@@ -525,6 +507,18 @@ mod tests {
         let text = snap.to_json();
         let back = PerfSnapshot::from_json(&text).unwrap();
         assert_eq!(snap, back);
+    }
+
+    /// Snapshots written while the `simd` build feature existed carry a
+    /// `"simd"` key; it is read past, like any key this build does not
+    /// know.
+    #[test]
+    fn a_retired_top_level_key_is_ignored() {
+        let text = sample()
+            .to_json()
+            .replace("  \"entries\"", "  \"simd\": false,\n  \"entries\"");
+        assert!(text.contains("\"simd\": false"));
+        assert_eq!(PerfSnapshot::from_json(&text).unwrap(), sample());
     }
 
     #[test]

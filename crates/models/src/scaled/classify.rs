@@ -2,7 +2,7 @@
 
 use aibench_autograd::{Graph, Param, Var};
 use aibench_nn::{BatchNorm2d, Conv2d, Linear, Mode, Module};
-use aibench_tensor::Rng;
+use aibench_tensor::{Rng, Tensor};
 
 /// A small residual CNN in the structure of ResNet-50: stem convolution,
 /// residual blocks with batch norm, global average pooling, and a linear
@@ -77,6 +77,30 @@ impl MiniResNet {
     pub fn forward(&self, g: &mut Graph, x: Var, mode: Mode) -> Var {
         let f = self.features(g, x, mode);
         self.head.forward(g, f)
+    }
+
+    /// Eval-mode top-1 predictions and labels for test samples `0..n`,
+    /// `batch` samples per tape. Eval-mode batch norm reads running
+    /// statistics, so every row of a batch is independent of the others and
+    /// the predictions are the ones a single `n`-sample tape would make —
+    /// while only one batch of activations is ever alive.
+    pub fn predict(
+        &self,
+        n: usize,
+        batch: usize,
+        test_batch: impl Fn(&[usize]) -> (Tensor, Vec<usize>),
+    ) -> (Vec<usize>, Vec<usize>) {
+        let (mut pred, mut labels) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let idx: Vec<usize> = (0..n).collect();
+        for chunk in idx.chunks(batch) {
+            let (x, y) = test_batch(chunk);
+            let mut g = Graph::new();
+            let xv = g.input(x);
+            let logits = self.forward(&mut g, xv, Mode::Eval);
+            pred.extend(g.value(logits).argmax_last());
+            labels.extend(y);
+        }
+        (pred, labels)
     }
 
     /// Parameters of the feature extractor only (no classifier head), for

@@ -86,12 +86,10 @@ impl Trainer for Face3dRecognition {
     }
 
     fn evaluate(&mut self) -> f64 {
-        let idx: Vec<usize> = (0..self.eval_n).collect();
-        let (x, y) = self.ds.test_batch(&idx);
-        let mut g = Graph::new();
-        let xv = g.input(x);
-        let logits = self.net.forward(&mut g, xv, Mode::Eval);
-        accuracy(&g.value(logits).argmax_last(), &y)
+        let (pred, labels) = self
+            .net
+            .predict(self.eval_n, self.batch, |idx| self.ds.test_batch(idx));
+        accuracy(&pred, &labels)
     }
 
     fn param_count(&self) -> usize {

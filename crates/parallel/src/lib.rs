@@ -557,7 +557,7 @@ pub const REDUCE_LANES: usize = 8;
 ///
 /// The lane assignment and fold order depend only on the slice length, so
 /// the result is a pure function of the data — reproducible across runs,
-/// thread counts, and the `simd` feature — while the independent lanes let
+/// thread counts and vector widths — while the independent lanes let
 /// the compiler vectorize what a strictly sequential sum cannot. This is
 /// the per-chunk kernel of [`sum_f32`]; use it directly only when the data
 /// is known to fit one chunk.

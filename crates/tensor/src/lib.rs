@@ -21,8 +21,9 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
+// One documented exception: the guarded call into the AVX2 copy of the
+// row kernels (`ops::microkernel::dispatch`).
+#![deny(unsafe_code)]
 
 mod ckpt;
 mod rng;

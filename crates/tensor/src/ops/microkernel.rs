@@ -1,8 +1,8 @@
 //! Packed, cache-blocked GEMM microkernels.
 //!
-//! This module is the hot core of every dense kernel in the workspace:
-//! [`matmul`](super::matmul::matmul), `batch_matmul`, and all three conv2d
-//! kernels lower onto `gemm_into`, which picks between three bitwise-
+//! This module is the hot core of every dense kernel in the workspace.
+//! [`matmul`](super::matmul::matmul) and `batch_matmul` lower onto
+//! `gemm_into`, which picks between three bitwise-
 //! identical implementations by shape: above [`PACK_THRESHOLD_FLOPS`], the
 //! classic three-level blocking scheme (GotoBLAS/BLIS) — operand matrices
 //! repacked into contiguous panels sized for the cache hierarchy, swept by
@@ -12,7 +12,11 @@
 //! cache-resident, so packing would only add traffic, and packing all of
 //! `B` to feed one live row of a tile never pays); and a 32x32 scalar
 //! tiled kernel kept as the measurement
-//! baseline ([`GemmPath::Scalar`]).
+//! baseline ([`GemmPath::Scalar`]). The three conv2d kernels multiply one
+//! shared operand by one operand per sample, so they pack the first once
+//! per call (`pack_tiles`), build the second straight in strip layout, and
+//! run the same microtile over both with `sweep` — no packing inside the
+//! product at all.
 //!
 //! # Operand layouts
 //!
@@ -47,8 +51,8 @@
 //! # Determinism
 //!
 //! Every path in this module — packed microkernel, in-place register-tiled
-//! kernel, scalar tiled baseline, and the optional `simd` builds of each —
-//! accumulates each output element
+//! kernel, whole-`k` tile-by-strip sweep, scalar tiled baseline, and both
+//! ISA instantiations of the first three — accumulates each output element
 //! `C[i, j]` in **ascending `k` order with one `mul` + one `add` per term**
 //! (no FMA contraction, no tree reduction over `k`). Packing only moves
 //! inputs, whichever [`Layout`] it reads them from; padded lanes multiply into discarded scratch rows/columns and
@@ -58,14 +62,22 @@
 //! `tests/microkernel_bitwise.rs` pin all paths against
 //! [`matmul_naive`](super::matmul::matmul_naive) exactly, not approximately.
 //!
-//! # The `simd` feature
+//! # One body, two instruction sets
 //!
-//! With the crate's `simd` feature enabled (nightly toolchain required),
-//! the microkernel's inner loop uses `std::simd` 8-lane vectors explicitly
-//! instead of relying on autovectorization. Lanes map one-to-one onto the
-//! `NR` microtile columns, so each element still sees the same scalar
-//! operation sequence: the `simd` build is bitwise identical to the default
-//! build by construction, and the regression tests run unchanged under it.
+//! The row-level workers — `Sweep`, the packed row block and the in-place
+//! row block, with the packers and register-tile helpers they inline — are
+//! each written once as an `#[inline(always)]` `RowKernel::run` body and
+//! compiled twice by `dispatch`: for the build's baseline target, and
+//! under `#[target_feature(enable = "avx2")]`, where the compiler holds an
+//! accumulator row in one 8-lane register instead of two 4-lane ones. Which
+//! copy runs is decided by `is_x86_feature_detected!` alone — no build
+//! flag, no setting. The vector lanes are the `NR` columns of the tile, so
+//! widening a register changes how many columns one instruction serves and
+//! nothing about what happens to a column: every element still sees one
+//! `mul` and one `add` per `k` step, in ascending `k` (the `fma` target
+//! feature is never enabled, and Rust never contracts `a * b + c` on its
+//! own). The two copies therefore produce the same bits, which the
+//! in-module test asserts wherever AVX2 exists.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -183,7 +195,7 @@ impl<'a> Mat<'a> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn at(&self, i: usize, j: usize) -> f32 {
         self.data[i * self.rs + j * self.cs]
     }
@@ -217,6 +229,45 @@ pub(crate) fn gemm_into(a: Mat, b: Mat, out: &mut [f32], m: usize, k: usize, n: 
     } else {
         gemm_small(a, b, out, m, k, n);
     }
+}
+
+// ---------------------------------------------------------------------
+// ISA dispatch
+// ---------------------------------------------------------------------
+
+/// A row-level worker: everything one chunk of a GEMM-lowered region does
+/// to its block of output rows. Implementations mark `run` — and every
+/// helper it calls — `#[inline(always)]`, so that [`dispatch`] compiles the
+/// whole body once per instruction set.
+pub(crate) trait RowKernel {
+    /// Does the work, on the calling thread.
+    fn run(self);
+}
+
+/// Runs `kernel` compiled for the widest vector unit this CPU has: the
+/// AVX2 copy where the CPU reports AVX2, the baseline copy everywhere else.
+/// Both copies produce the same bits (see the module docs).
+#[inline]
+pub(crate) fn dispatch<K: RowKernel>(kernel: K) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `run_avx2` is safe code whose only requirement is that
+        // the CPU executes AVX2 instructions, which was just detected.
+        #[allow(unsafe_code)]
+        unsafe {
+            run_avx2(kernel)
+        };
+        return;
+    }
+    kernel.run()
+}
+
+/// The AVX2 copy of every [`RowKernel`]: the same `run` body, inlined into
+/// a function the compiler may vectorize eight lanes wide.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<K: RowKernel>(kernel: K) {
+    kernel.run()
 }
 
 // ---------------------------------------------------------------------
@@ -310,7 +361,7 @@ fn n_strips(n: usize) -> usize {
 /// row block `c[., n]` into a zeroed accumulator tile. A full tile moves as
 /// `MR` fixed-width rows (vector loads); only ragged edge tiles pay for
 /// variable-length copies.
-#[inline]
+#[inline(always)]
 fn load_tile(
     c: &[f32],
     n: usize,
@@ -334,7 +385,7 @@ fn load_tile(
 
 /// Stores the live `rows x cols` cells of `acc` back to the `C` tile at
 /// `(r0, j0)` (the mirror of [`load_tile`]); padded cells are dropped.
-#[inline]
+#[inline(always)]
 fn store_tile(
     acc: &[[f32; NR]; MR],
     c: &mut [f32],
@@ -401,7 +452,7 @@ fn pack_strip(b: Mat, strip: &mut [f32], k_range: std::ops::Range<usize>, j0: us
 /// k-tile).
 fn gemm_small(a: Mat, b: Mat, out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
-    let packed = pack_small(b, k, n);
+    let packed = pack_strips(b, k, small_packed_from(b, n), n);
     let _scope = effects::kernel_scope("gemm");
     let work = gemm_flops(m, k, n);
     aibench_parallel::parallel_slice_mut_weighted(out, TILE * n.max(1), work, |rows, out_block| {
@@ -411,7 +462,15 @@ fn gemm_small(a: Mat, b: Mat, out: &mut [f32], m: usize, k: usize, n: usize) {
         a.declare_read(i_lo..i_hi, 0..k);
         b.declare_read(0..k, 0..n);
         effects::read(&packed, 0..packed.len());
-        gemm_rows_small(a, b, &packed, out_block, i_lo..i_hi, k, n);
+        dispatch(SmallRows {
+            a,
+            b,
+            packed: &packed,
+            out_block,
+            rows: i_lo..i_hi,
+            k,
+            n,
+        });
     });
 }
 
@@ -427,14 +486,14 @@ fn small_packed_from(b: Mat, n: usize) -> usize {
     }
 }
 
-/// Packs the columns `small_packed_from(b, n)..n` of `b[k, n]` into
-/// whole-`k` strips (`k * NR` floats each, the [`pack_strip`] layout,
-/// zero-padded to `NR` lanes). Empty when a row-major `b` has no column
-/// remainder. This keeps ragged and transposed columns on the register
-/// microkernel — padded lanes accumulate into discarded scratch columns —
-/// instead of a slow per-element loop.
-fn pack_small(b: Mat, k: usize, n: usize) -> Vec<f32> {
-    let from = small_packed_from(b, n);
+/// Packs the columns `from..n` of `b[k, n]` into whole-`k` strips (`k * NR`
+/// floats each, the [`pack_strip`] layout, zero-padded to `NR` lanes): the
+/// strip operand of [`sweep`] with `from = 0`, and what keeps the small
+/// path's ragged and transposed columns ([`small_packed_from`]; none for a
+/// row-major `b` without a column remainder) on the register microkernel —
+/// padded lanes accumulate into discarded scratch columns — instead of a
+/// slow per-element loop.
+pub(crate) fn pack_strips(b: Mat, k: usize, from: usize, n: usize) -> Vec<f32> {
     let mut packed = vec![0.0f32; n_strips(n - from) * k * NR];
     if k > 0 {
         for (s, strip) in packed.chunks_exact_mut(k * NR).enumerate() {
@@ -445,44 +504,59 @@ fn pack_small(b: Mat, k: usize, n: usize) -> Vec<f32> {
     packed
 }
 
-/// Serial register-tiled GEMM over the output rows `i_range`. Each
-/// `MR x NR` tile runs the in-place microkernel against `b` directly, or
-/// against its pre-packed strip for the columns [`pack_small`] covers; the
-/// row remainder uses a single-row variant. Every path accumulates each
-/// element in ascending `k` order, bitwise-equal to the naive loop.
-fn gemm_rows_small(
-    a: Mat,
-    b: Mat,
-    packed: &[f32],
-    out_block: &mut [f32],
-    i_range: std::ops::Range<usize>,
+/// Serial register-tiled GEMM over the output rows `rows`; `out_block` is
+/// the output slice for exactly those rows. Each `MR x NR` tile runs the
+/// in-place microkernel against `b` directly, or against its pre-packed
+/// strip for the columns [`pack_strips`] covers; the row remainder uses a
+/// single-row variant. Every path accumulates each element in ascending
+/// `k` order, bitwise-equal to the naive loop.
+struct SmallRows<'a> {
+    a: Mat<'a>,
+    b: Mat<'a>,
+    packed: &'a [f32],
+    out_block: &'a mut [f32],
+    rows: std::ops::Range<usize>,
     k: usize,
     n: usize,
-) {
-    let (i_lo, i_hi) = (i_range.start, i_range.end);
-    let packed_from = small_packed_from(b, n);
-    for i0 in (i_lo..i_hi).step_by(MR) {
-        let live = MR.min(i_hi - i0);
-        for j0 in (0..n).step_by(NR) {
-            // `B` rows of this strip: `NR` lanes from `offset`, `stride`
-            // apart — in place, or in the strip packed for these columns
-            // (only the live columns are stored back).
-            let (strip, offset, stride) = if j0 < packed_from {
-                (b.data, j0, b.rs)
-            } else {
-                let s = (j0 - packed_from) / NR;
-                (&packed[s * k * NR..(s + 1) * k * NR], 0, NR)
-            };
-            let (at, cells) = ((i0 - i_lo, j0), (live, NR.min(n - j0)));
-            let mut acc = load_tile(out_block, n, at, cells);
-            if live == MR {
-                micro_tile_inplace(a, strip, i0, offset, k, stride, &mut acc);
-            } else {
-                for (r, acc_row) in acc.iter_mut().enumerate().take(live) {
-                    row_tile_inplace(a, strip, i0 + r, offset, k, stride, acc_row);
+}
+
+impl RowKernel for SmallRows<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let SmallRows {
+            a,
+            b,
+            packed,
+            out_block,
+            rows,
+            k,
+            n,
+        } = self;
+        let (i_lo, i_hi) = (rows.start, rows.end);
+        let packed_from = small_packed_from(b, n);
+        for i0 in (i_lo..i_hi).step_by(MR) {
+            let live = MR.min(i_hi - i0);
+            for j0 in (0..n).step_by(NR) {
+                // `B` rows of this strip: `NR` lanes from `offset`, `stride`
+                // apart — in place, or in the strip packed for these columns
+                // (only the live columns are stored back).
+                let (strip, offset, stride) = if j0 < packed_from {
+                    (b.data, j0, b.rs)
+                } else {
+                    let s = (j0 - packed_from) / NR;
+                    (&packed[s * k * NR..(s + 1) * k * NR], 0, NR)
+                };
+                let (at, cells) = ((i0 - i_lo, j0), (live, NR.min(n - j0)));
+                let mut acc = load_tile(out_block, n, at, cells);
+                if live == MR {
+                    micro_tile_inplace(a, strip, i0, offset, k, stride, &mut acc);
+                } else {
+                    for (r, acc_row) in acc.iter_mut().enumerate().take(live) {
+                        row_tile_inplace(a, strip, i0 + r, offset, k, stride, acc_row);
+                    }
                 }
+                store_tile(&acc, out_block, n, at, cells);
             }
-            store_tile(&acc, out_block, n, at, cells);
         }
     }
 }
@@ -490,9 +564,8 @@ fn gemm_rows_small(
 /// In-place `MR x NR` microkernel: `acc += A[i0.., :] * B[:, j0..]` with
 /// `A` read at its own strides and `B` rows read at stride `b_stride`
 /// from offset `j0` (pass a packed strip with `j0 = 0`, `b_stride = NR`).
-/// Scalar build; autovectorizes over the `NR` lane loop.
-#[cfg(not(feature = "simd"))]
-#[inline]
+/// The `NR` lane loop is the one the compiler vectorizes.
+#[inline(always)]
 fn micro_tile_inplace(
     a: Mat,
     b: &[f32],
@@ -513,42 +586,10 @@ fn micro_tile_inplace(
     }
 }
 
-/// In-place `MR x NR` microkernel, explicit `std::simd` build (same lane
-/// mapping as the packed [`micro_tile`]; bitwise-identical to the
-/// autovectorized build).
-#[cfg(feature = "simd")]
-#[inline]
-fn micro_tile_inplace(
-    a: Mat,
-    b: &[f32],
-    i0: usize,
-    j0: usize,
-    k: usize,
-    b_stride: usize,
-    acc: &mut [[f32; NR]; MR],
-) {
-    use std::simd::Simd;
-    let mut v: [Simd<f32, NR>; MR] = [
-        Simd::from_array(acc[0]),
-        Simd::from_array(acc[1]),
-        Simd::from_array(acc[2]),
-        Simd::from_array(acc[3]),
-    ];
-    for kk in 0..k {
-        let bv: Simd<f32, NR> = Simd::from_slice(&b[kk * b_stride + j0..kk * b_stride + j0 + NR]);
-        for (r, vr) in v.iter_mut().enumerate() {
-            *vr += Simd::splat(a.at(i0 + r, kk)) * bv;
-        }
-    }
-    for (r, vr) in v.iter().enumerate() {
-        acc[r] = vr.to_array();
-    }
-}
-
 /// Single-row edge of the in-place microkernel (row remainder when fewer
 /// than `MR` live rows remain). Same `B` addressing as
 /// [`micro_tile_inplace`].
-#[inline]
+#[inline(always)]
 fn row_tile_inplace(
     a: Mat,
     b: &[f32],
@@ -585,7 +626,14 @@ fn gemm_packed(a: Mat, b: Mat, out: &mut [f32], m: usize, k: usize, n: usize) {
         let i_hi = rows.end / n;
         a.declare_read(i_lo..i_hi, 0..k);
         effects::read(&bp, 0..bp.len());
-        gemm_rows_packed(a, &bp, out_block, i_lo..i_hi, k, n);
+        dispatch(PackedRows {
+            a,
+            bp: &bp,
+            out_block,
+            rows: i_lo..i_hi,
+            k,
+            n,
+        });
     });
 }
 
@@ -627,6 +675,7 @@ fn pack_b(b: Mat, k: usize, n: usize) -> Vec<f32> {
 /// A row-major `a` is read a row at a time and scattered down the tile's
 /// lane; a transposed `a` already stores the `MR` values of one `kk` side
 /// by side, so they move together.
+#[inline(always)]
 fn pack_a_panel(a: Mat, ap: &mut [f32], i_range: std::ops::Range<usize>, kc0: usize, lp: usize) {
     let (i_lo, i_hi) = (i_range.start, i_range.end);
     let tiles = (i_hi - i_lo).div_ceil(MR);
@@ -661,48 +710,60 @@ fn pack_a_panel(a: Mat, ap: &mut [f32], i_range: std::ops::Range<usize>, kc0: us
 
 /// Serial packed GEMM over one row block: packs each A panel locally, then
 /// sweeps every B strip with the register microkernel.
-fn gemm_rows_packed(
-    a: Mat,
-    bp: &[f32],
-    out_block: &mut [f32],
-    i_range: std::ops::Range<usize>,
+struct PackedRows<'a> {
+    a: Mat<'a>,
+    bp: &'a [f32],
+    out_block: &'a mut [f32],
+    rows: std::ops::Range<usize>,
     k: usize,
     n: usize,
-) {
-    let (i_lo, i_hi) = (i_range.start, i_range.end);
-    let rows = i_hi - i_lo;
-    let tiles = rows.div_ceil(MR);
-    let strips = n_strips(n);
-    let mut ap = vec![0.0f32; tiles * MR * KC.min(k.max(1))];
-    let mut panel_base = 0;
-    for kc0 in (0..k).step_by(KC) {
-        let lp = (kc0 + KC).min(k) - kc0;
-        pack_a_panel(a, &mut ap, i_lo..i_hi, kc0, lp);
-        for s in 0..strips {
-            let j0 = s * NR;
-            let bs = &bp[panel_base + s * lp * NR..panel_base + (s + 1) * lp * NR];
-            for t in 0..tiles {
-                let at = &ap[t * lp * MR..(t + 1) * lp * MR];
-                let r0 = t * MR;
-                // Load the live C cells into the accumulator tile, run the
-                // microkernel over the whole (possibly padded) tile, and
-                // store only the live cells back. Padded cells accumulate
-                // zero-products into scratch that is simply discarded.
-                let live = (MR.min(rows - r0), NR.min(n - j0));
-                let mut acc = load_tile(out_block, n, (r0, j0), live);
-                micro_tile(at, bs, lp, &mut acc);
-                store_tile(&acc, out_block, n, (r0, j0), live);
+}
+
+impl RowKernel for PackedRows<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let PackedRows {
+            a,
+            bp,
+            out_block,
+            rows: i_range,
+            k,
+            n,
+        } = self;
+        let rows = i_range.len();
+        let tiles = rows.div_ceil(MR);
+        let strips = n_strips(n);
+        let mut ap = vec![0.0f32; tiles * MR * KC.min(k.max(1))];
+        let mut panel_base = 0;
+        for kc0 in (0..k).step_by(KC) {
+            let lp = (kc0 + KC).min(k) - kc0;
+            pack_a_panel(a, &mut ap, i_range.clone(), kc0, lp);
+            for s in 0..strips {
+                let j0 = s * NR;
+                let bs = &bp[panel_base + s * lp * NR..panel_base + (s + 1) * lp * NR];
+                for t in 0..tiles {
+                    let at = &ap[t * lp * MR..(t + 1) * lp * MR];
+                    let r0 = t * MR;
+                    // Load the live C cells into the accumulator tile, run
+                    // the microkernel over the whole (possibly padded) tile,
+                    // and store only the live cells back. Padded cells
+                    // accumulate zero-products into scratch that is simply
+                    // discarded.
+                    let live = (MR.min(rows - r0), NR.min(n - j0));
+                    let mut acc = load_tile(out_block, n, (r0, j0), live);
+                    micro_tile(at, bs, lp, &mut acc);
+                    store_tile(&acc, out_block, n, (r0, j0), live);
+                }
             }
+            panel_base += lp * strips * NR;
         }
-        panel_base += lp * strips * NR;
     }
 }
 
-/// The `MR x NR` register microkernel: `acc += A-tile * B-strip` over one
-/// k-panel, each accumulator updated once per `kk` in ascending order
-/// (scalar build; autovectorizes over the `NR` lane loop).
-#[cfg(not(feature = "simd"))]
-#[inline]
+/// The `MR x NR` register microkernel: `acc += A-tile * B-strip` over `lp`
+/// steps of `k`, each accumulator updated once per `kk` in ascending order.
+/// The `NR` lane loop is the one the compiler vectorizes.
+#[inline(always)]
 fn micro_tile(at: &[f32], bs: &[f32], lp: usize, acc: &mut [[f32; NR]; MR]) {
     for kk in 0..lp {
         let b: &[f32] = &bs[kk * NR..kk * NR + NR];
@@ -716,29 +777,89 @@ fn micro_tile(at: &[f32], bs: &[f32], lp: usize, acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// The `MR x NR` register microkernel, explicit `std::simd` build: one
-/// 8-lane vector per accumulator row, lanes mapping one-to-one onto the
-/// `NR` columns, so every element performs the same scalar `mul`/`add`
-/// sequence as the autovectorized build (bitwise-identical results).
-#[cfg(feature = "simd")]
-#[inline]
-fn micro_tile(at: &[f32], bs: &[f32], lp: usize, acc: &mut [[f32; NR]; MR]) {
-    use std::simd::Simd;
-    let mut v: [Simd<f32, NR>; MR] = [
-        Simd::from_array(acc[0]),
-        Simd::from_array(acc[1]),
-        Simd::from_array(acc[2]),
-        Simd::from_array(acc[3]),
-    ];
-    for kk in 0..lp {
-        let b: Simd<f32, NR> = Simd::from_slice(&bs[kk * NR..kk * NR + NR]);
-        let a = &at[kk * MR..kk * MR + MR];
-        for r in 0..MR {
-            v[r] += Simd::splat(a[r]) * b;
+// ---------------------------------------------------------------------
+// Whole-`k` sweep over operands packed by the caller
+// ---------------------------------------------------------------------
+
+/// Packs all of `a[m, k]` into `MR`-row tiles of full depth: tile `t` holds
+/// rows `t * MR..` as `k * MR` floats, element `(kk, r)` at `kk * MR + r`,
+/// rows beyond `m` zero. The tile operand of [`sweep`]; a caller whose `a`
+/// is shared by many products packs it once for all of them.
+pub(crate) fn pack_tiles(a: Mat, m: usize, k: usize) -> Vec<f32> {
+    let mut tiles = vec![0.0f32; m.div_ceil(MR) * MR * k];
+    pack_a_panel(a, &mut tiles, 0..m, 0, k);
+    tiles
+}
+
+/// `out[m, n] += tiles x strips`: the product of an `[m, k]` operand packed
+/// by [`pack_tiles`] and a `[k, n]` operand laid out as [`pack_strips`]
+/// lays it — strip `s` holds columns `s * NR..` as `k * NR` floats, element
+/// `(kk, j)` at `kk * NR + j`, lanes beyond `n` ignored. Each element takes
+/// its `k` terms in ascending order, so on a zeroed `out` the result is bit
+/// for bit [`gemm_into`]'s.
+///
+/// This is the lowering for a caller that builds the operands itself: the
+/// convolutions pack their filter bank once per call and unfold each sample
+/// straight into strips, so nothing is packed twice and no intermediate
+/// matrix exists. Like every GEMM here it splits `out` over `MC`-row blocks
+/// — which engages the pool only for a product that is a region of its own
+/// (a one-sample convolution), and runs inline when nested in a sample's
+/// chunk.
+pub(crate) fn sweep(tiles: &[f32], strips: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(out.len(), m * n);
+    debug_assert_eq!(tiles.len(), m.div_ceil(MR) * MR * k);
+    debug_assert_eq!(strips.len(), n_strips(n) * k * NR);
+    let _scope = effects::kernel_scope("gemm");
+    let work = gemm_flops(m, k, n);
+    aibench_parallel::parallel_slice_mut_weighted(out, MC * n, work, |rows, out_block| {
+        debug_assert_eq!(rows.start % n, 0);
+        let block = rows.start / n / MR * MR * k..(rows.end / n).div_ceil(MR) * MR * k;
+        effects::read(tiles, block.clone());
+        effects::read(strips, 0..strips.len());
+        dispatch(Sweep {
+            tiles: &tiles[block],
+            strips,
+            out_block,
+            k,
+            n,
+        });
+    });
+}
+
+/// One row block of [`sweep`]: every strip against every tile of the block,
+/// the strip (the larger of the two) held in cache across the tiles. The
+/// accumulators are loaded from `out_block` rather than started from a
+/// literal zero tile: that is what hands the vectorizer four `NR`-lane
+/// rows (a constant tile gets regrouped into shuffles, 3x slower).
+struct Sweep<'a> {
+    tiles: &'a [f32],
+    strips: &'a [f32],
+    out_block: &'a mut [f32],
+    k: usize,
+    n: usize,
+}
+
+impl RowKernel for Sweep<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let Sweep {
+            tiles,
+            strips,
+            out_block,
+            k,
+            n,
+        } = self;
+        let rows = out_block.len() / n;
+        for (s, j0) in (0..n).step_by(NR).enumerate() {
+            let bs = &strips[s * k * NR..(s + 1) * k * NR];
+            for (t, r0) in (0..rows).step_by(MR).enumerate() {
+                let at = &tiles[t * k * MR..(t + 1) * k * MR];
+                let live = (MR.min(rows - r0), NR.min(n - j0));
+                let mut acc = load_tile(out_block, n, (r0, j0), live);
+                micro_tile(at, bs, k, &mut acc);
+                store_tile(&acc, out_block, n, (r0, j0), live);
+            }
         }
-    }
-    for r in 0..MR {
-        acc[r] = v[r].to_array();
     }
 }
 
@@ -808,6 +929,101 @@ mod tests {
                     .all(|(x, y)| x.to_bits() == y.to_bits()),
                 "small != naive at ({m},{k},{n})"
             );
+        }
+    }
+
+    /// `sweep` over operands packed by `pack_tiles` / `pack_strips` adds to
+    /// a zeroed output exactly what the naive loop produces, including
+    /// ragged row tiles, ragged strips, fewer than `MR` rows, more than one
+    /// `MC` row block and an empty `k`.
+    #[test]
+    fn sweep_is_bitwise_equal_to_naive() {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (1, 16, 64),
+            (3, 9, 7),
+            (4, 0, 8),
+            (6, 54, 100),
+            (8, 72, 144),
+            (70, 20, 19),
+            (130, 33, 41),
+        ] {
+            let a = fill(m as u64 * 13 + k as u64, m * k);
+            let b = fill(n as u64 * 7 + 2, k * n);
+            let want = gemm_naive(&a, &b, m, k, n);
+            let tiles = pack_tiles(rm(&a, m, k), m, k);
+            let strips = pack_strips(rm(&b, k, n), k, 0, n);
+            let mut got = vec![0.0f32; m * n];
+            sweep(&tiles, &strips, &mut got, m, k, n);
+            assert!(
+                got.iter()
+                    .zip(&want)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "sweep != naive at ({m},{k},{n})"
+            );
+        }
+    }
+
+    /// The baseline and AVX2 copies of every row kernel produce the same
+    /// bits: `run()` here is the baseline copy, `dispatch` the AVX2 one
+    /// wherever the CPU has it (and the same copy, trivially equal, where
+    /// it does not).
+    #[test]
+    fn isa_instantiations_agree_bit_for_bit() {
+        for &(m, k, n) in &[(5, 7, 9), (8, 72, 144), (33, 257, 65), (3, 300, 50)] {
+            let a = fill(m as u64 * 19 + 1, m * k);
+            let b = fill(k as u64 * 23 + 2, k * n);
+            let (am, bm) = (rm(&a, m, k), rm(&b, k, n));
+            // Builds the kernel twice over fresh zeroed outputs: once run
+            // as the baseline copy, once through `dispatch`.
+            macro_rules! agree {
+                ($what:literal, |$out:ident| $kernel:expr) => {{
+                    let (mut base, mut wide) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+                    {
+                        let $out = &mut base[..];
+                        $kernel.run();
+                    }
+                    {
+                        let $out = &mut wide[..];
+                        dispatch($kernel);
+                    }
+                    assert!(
+                        base.iter()
+                            .zip(&wide)
+                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{} ({m},{k},{n}): baseline != dispatched",
+                        $what
+                    );
+                }};
+            }
+            let packed = pack_strips(bm, k, small_packed_from(bm, n), n);
+            agree!("in-place rows", |out_block| SmallRows {
+                a: am,
+                b: bm,
+                packed: &packed,
+                out_block,
+                rows: 0..m,
+                k,
+                n,
+            });
+            let bp = pack_b(bm, k, n);
+            agree!("packed rows", |out_block| PackedRows {
+                a: am,
+                bp: &bp,
+                out_block,
+                rows: 0..m,
+                k,
+                n,
+            });
+            let tiles = pack_tiles(am, m, k);
+            let strips = pack_strips(bm, k, 0, n);
+            agree!("sweep", |out_block| Sweep {
+                tiles: &tiles,
+                strips: &strips,
+                out_block,
+                k,
+                n,
+            });
         }
     }
 

@@ -2,11 +2,13 @@
 //!
 //! The determinism contract (see `ops::microkernel`): every GEMM path —
 //! packed, in-place register-tiled, scalar tiled — plus the conv2d
-//! algorithm variants and the lane-blocked reductions produce **bitwise
+//! lowerings and the lane-blocked reductions produce **bitwise
 //! identical** results to their naive references, at every thread count.
 //! Each kernel family is exercised in a single `#[test]` because the
 //! thread count and GEMM path are process-global; sweeping inside one test
 //! keeps the sweep race-free under the default parallel test runner.
+
+mod conv_oracle;
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -149,7 +151,7 @@ fn gemm_transposed_operands_match_naive_across_threads() {
 }
 
 /// Naive direct convolution with the same per-element accumulation order
-/// as the im2col GEMM: `(ci, ki, kj)` ascending, one mul + one add each.
+/// as the lowered GEMM: `(ci, ki, kj)` ascending, one mul + one add each.
 fn conv_naive(x: &Tensor, w: &Tensor, args: Conv2dArgs) -> Tensor {
     let (n, ci, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
     let (co, kh, kw) = (w.shape()[0], w.shape()[2], w.shape()[3]);
@@ -197,72 +199,94 @@ type ConvCase = (
     usize,
 );
 
-/// Conv shapes covering all three `ConvAlgo` variants (direct-loops tiny,
-/// 1x1 direct-GEMM, im2col), strides, padding, and odd extents.
+/// Conv geometries for all three kernels: both `ConvAlgo` variants, every
+/// shape of the suite that the deleted direct-loop lowering used to take,
+/// ragged strips (`wo < 8`, `wo % 8 != 0`, `ho * wo % 8 != 0`), unfolded
+/// depths that are no multiple of 8, strides 1/2/4, paddings 0/1/2, fewer
+/// out-channels than one row tile, and one-sample batches — one of them
+/// wide enough to split over out-channel row blocks.
+const CONV_CASES: &[ConvCase] = &[
+    // (n, ci, h, w, co, kh, kw, stride, pad)
+    (1, 1, 3, 3, 1, 3, 3, 1, 0),    // one output position
+    (2, 2, 5, 4, 3, 3, 3, 1, 1),    // odd extents, padded, wo < 8, co < MR
+    (2, 3, 8, 8, 4, 1, 1, 1, 0),    // 1x1: DirectGemm
+    (2, 32, 4, 4, 8, 1, 1, 1, 0),   // 1x1 over a deep channel stack
+    (3, 4, 9, 9, 8, 3, 3, 2, 1),    // strided, 25 columns
+    (2, 8, 12, 12, 16, 3, 3, 1, 1), // CNN-trainer-like, wo = 12
+    (1, 2, 1, 7, 2, 1, 3, 1, 1),    // 1-row input
+    (2, 4, 15, 15, 8, 3, 3, 1, 1),  // 259 200 flops: per-sample region inline
+    (2, 4, 16, 16, 8, 3, 3, 1, 1),  // 294 912 flops: engages the pool
+    (2, 3, 6, 5, 5, 3, 3, 1, 2),    // pad 2 at stride 1: border wider than a tap
+    (2, 1, 16, 16, 12, 5, 5, 2, 2), // 5x5, stride 2, pad 2, kdim = 25
+    // Formerly ConvAlgo::DirectLoops (under 8 Ki multiply-adds a sample).
+    (3, 1, 10, 10, 6, 3, 3, 1, 1),
+    (3, 1, 15, 15, 8, 3, 3, 2, 1),
+    (3, 2, 16, 16, 1, 4, 4, 4, 0), // one out-channel, stride 4
+    (3, 12, 8, 8, 6, 2, 2, 2, 0),
+    (3, 1, 16, 16, 12, 3, 3, 2, 1),
+    (3, 1, 16, 16, 12, 2, 2, 2, 0),
+    (3, 8, 4, 4, 16, 3, 3, 2, 1), // four columns: half a strip
+    (3, 1, 8, 8, 8, 3, 3, 2, 1),
+    (2, 12, 16, 16, 1, 3, 3, 1, 1), // one out-channel over a real product
+    // One-sample batches: the product itself is the parallel region.
+    (1, 8, 12, 12, 16, 3, 3, 1, 1),
+    (1, 4, 16, 16, 130, 3, 3, 1, 1), // three out-channel row blocks
+    (1, 130, 6, 6, 4, 3, 3, 1, 1),   // backward-input splits over kdim rows
+];
+
+fn conv_operands(case: ConvCase) -> (Tensor, Tensor, Tensor, Conv2dArgs, String) {
+    let (n, ci, h, w, co, kh, kw, stride, pad) = case;
+    let args = Conv2dArgs::new(stride, pad);
+    let (ho, wo) = (args.out_extent(h, kh), args.out_extent(w, kw));
+    let x = Tensor::from_vec(
+        fill(7 + (n * ci * h) as u64, n * ci * h * w),
+        &[n, ci, h, w],
+    );
+    let wt = Tensor::from_vec(
+        fill(13 + (co * kh) as u64, co * ci * kh * kw),
+        &[co, ci, kh, kw],
+    );
+    let g = Tensor::from_vec(
+        fill(31 + (co * ho) as u64, n * co * ho * wo),
+        &[n, co, ho, wo],
+    );
+    let label = format!("conv(n{n},ci{ci},{h}x{w},co{co},k{kh}x{kw},s{stride},p{pad})");
+    (x, wt, g, args, label)
+}
+
+/// Forward: the per-call lowering (filters packed once, samples unfolded
+/// into strips) and the materialised-im2col scalar baseline agree with the
+/// naive loop nest at every thread count.
 #[test]
 fn conv2d_matches_naive_across_threads_and_algos() {
     let _g = lock_globals();
-    let cases: &[ConvCase] = &[
-        // (n, ci, h, w, co, kh, kw, stride, pad)
-        (1, 1, 3, 3, 1, 3, 3, 1, 0),    // tiny: DirectLoops
-        (2, 2, 5, 4, 3, 3, 3, 1, 1),    // odd extents, padded
-        (2, 3, 8, 8, 4, 1, 1, 1, 0),    // 1x1: DirectGemm
-        (3, 4, 9, 9, 8, 3, 3, 2, 1),    // strided
-        (2, 8, 12, 12, 16, 3, 3, 1, 1), // CNN-trainer-like: Im2colGemm
-        (1, 2, 1, 7, 2, 1, 3, 1, 1),    // 1-row input
-        (2, 4, 15, 15, 8, 3, 3, 1, 1),  // 259 200 flops: per-sample region inline
-        (2, 4, 16, 16, 8, 3, 3, 1, 1),  // 294 912 flops: engages the pool
-    ];
-    for &(n, ci, h, w, co, kh, kw, stride, pad) in cases {
-        let x = Tensor::from_vec(
-            fill(7 + (n * ci * h) as u64, n * ci * h * w),
-            &[n, ci, h, w],
-        );
-        let wt = Tensor::from_vec(
-            fill(13 + (co * kh) as u64, co * ci * kh * kw),
-            &[co, ci, kh, kw],
-        );
-        let args = Conv2dArgs::new(stride, pad);
-        let label = format!("conv(n{n},ci{ci},{h}x{w},co{co},k{kh}x{kw},s{stride},p{pad})");
+    for &case in CONV_CASES {
+        let (x, wt, _, args, label) = conv_operands(case);
         let got = sweep(&label, || ops::conv2d(&x, &wt, args));
         let want = conv_naive(&x, &wt, args);
         assert_eq!(bits(&got), bits(&want), "{label}: conv2d != naive");
     }
 }
 
-/// Backward kernels: no independent naive oracle here, but the sweep
-/// pins bitwise identity across thread counts and across the two GEMM
-/// paths (two independent implementations agreeing exactly), including
-/// the dedicated 1x1 direct path of `conv2d_backward_input`.
+/// Backward kernels: both lowerings agree at every thread count — two
+/// independent implementations — and with the per-element im2col +
+/// naive-GEMM oracle, including the dedicated 1x1 path of
+/// `conv2d_backward_input` that skips `col2im`.
 #[test]
 fn conv2d_backward_kernels_are_path_and_thread_invariant() {
     let _g = lock_globals();
-    let cases: &[ConvCase] = &[
-        (2, 3, 8, 8, 4, 1, 1, 1, 0), // 1x1: direct backward-input path
-        (2, 2, 5, 4, 3, 3, 3, 1, 1),
-        (3, 4, 9, 9, 8, 3, 3, 2, 1),
-        (2, 8, 12, 12, 16, 3, 3, 1, 1),
-        (2, 4, 15, 15, 8, 3, 3, 1, 1), // just below the engagement threshold
-        (2, 4, 16, 16, 8, 3, 3, 1, 1), // just above it
-    ];
-    for &(n, ci, h, w, co, kh, kw, stride, pad) in cases {
-        let args = Conv2dArgs::new(stride, pad);
-        let (ho, wo) = (args.out_extent(h, kh), args.out_extent(w, kw));
-        let x = Tensor::from_vec(fill(23 + (ci * h) as u64, n * ci * h * w), &[n, ci, h, w]);
-        let wt = Tensor::from_vec(
-            fill(29 + (co * kw) as u64, co * ci * kh * kw),
-            &[co, ci, kh, kw],
-        );
-        let g = Tensor::from_vec(
-            fill(31 + (co * ho) as u64, n * co * ho * wo),
-            &[n, co, ho, wo],
-        );
-        sweep("conv2d_backward_input", || {
+    for &case in CONV_CASES {
+        let (x, wt, g, args, label) = conv_operands(case);
+        let (h, w, kh, kw) = (case.2, case.3, case.5, case.6);
+        let (_, want_gx, want_gw) = conv_oracle::conv_oracle(&x, &wt, &g, args);
+        let gx = sweep(&format!("backward_input {label}"), || {
             ops::conv2d_backward_input(&g, &wt, (h, w), args)
         });
-        sweep("conv2d_backward_weight", || {
+        assert_eq!(bits(&gx), bits(&want_gx), "{label}: backward_input");
+        let gw = sweep(&format!("backward_weight {label}"), || {
             ops::conv2d_backward_weight(&x, &g, (kh, kw), args)
         });
+        assert_eq!(bits(&gw), bits(&want_gw), "{label}: backward_weight");
     }
 }
 

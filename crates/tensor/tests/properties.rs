@@ -1,5 +1,7 @@
 //! Property-based tests of the tensor algebra's invariants.
 
+mod conv_oracle;
+
 use aibench_tensor::ops::{
     conv2d, conv2d_backward_input, conv2d_backward_weight, matmul, matmul_naive, slice_axis,
     Conv2dArgs, ConvAlgo,
@@ -176,45 +178,13 @@ fn walker_matches_the_decode_loops_on_named_shapes() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Oracles for the span-copy unfold: per-element im2col / col2im with a
-// bounds test on every tap, multiplied by the naive GEMM.
-// ---------------------------------------------------------------------
-
-/// `(c, h, w, kh, kw, ho, wo)` of one sample's unfold.
-type Unfold = (usize, usize, usize, usize, usize, usize, usize);
-
-/// Visits every in-bounds tap as `(flat input index, flat im2col index)`,
-/// in `(ci, ki, kj, oy, ox)` order.
-fn for_each_tap(
-    (c, h, w, kh, kw, ho, wo): Unfold,
-    args: Conv2dArgs,
-    mut f: impl FnMut(usize, usize),
-) {
-    for ci in 0..c {
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = (ci * kh + ki) * kw + kj;
-                for oy in 0..ho {
-                    for ox in 0..wo {
-                        let iy = (oy * args.stride + ki) as isize - args.pad as isize;
-                        let ix = (ox * args.stride + kj) as isize - args.pad as isize;
-                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            let at = (ci * h + iy as usize) * w + ix as usize;
-                            f(at, row * ho * wo + oy * wo + ox);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Every conv kernel against its per-element oracle, bit for bit, over
 /// strides 1-3 and paddings from none to wider than the kernel, on
 /// geometries that include a kernel wider than the unpadded input, a
-/// one-row input and one-wide outputs. `co` is sized so each case takes the
-/// im2col lowering.
+/// one-row input and one-wide outputs — so strips that are ragged, narrower
+/// than a row of the output, or a single column — each with fewer
+/// out-channels than one row tile and with several tiles' worth, as a batch
+/// and as a single sample.
 #[test]
 fn span_unfold_matches_the_per_element_unfold() {
     let geometries: &[(usize, usize, usize, usize, usize)] = &[
@@ -225,18 +195,25 @@ fn span_unfold_matches_the_per_element_unfold() {
         (1, 4, 4, 4, 4), // one output position without padding
         (2, 7, 5, 2, 5),
     ];
-    let n = 2;
     for &(ci, h, w, kh, kw) in geometries {
         for stride in 1..=3 {
-            for pad in [0, 1, 2, kh.max(kw) + 1] {
+            for (pad, n, few) in [0, 1, 2, kh.max(kw) + 1]
+                .into_iter()
+                .flat_map(|pad| [(pad, 2, false), (pad, 2, true), (pad, 1, false)])
+            {
                 if h + 2 * pad < kh || w + 2 * pad < kw {
                     continue;
                 }
                 let args = Conv2dArgs::new(stride, pad);
                 let (ho, wo) = (args.out_extent(h, kh), args.out_extent(w, kw));
                 let (kdim, cols) = (ci * kh * kw, ho * wo);
-                let co = 8192usize.div_ceil(kdim * cols).max(2);
-                let label = format!("ci{ci} {h}x{w} k{kh}x{kw} s{stride} p{pad} -> {ho}x{wo}");
+                let co = if few {
+                    3
+                } else {
+                    8192usize.div_ceil(kdim * cols).max(2)
+                };
+                let label =
+                    format!("n{n} ci{ci} {h}x{w} co{co} k{kh}x{kw} s{stride} p{pad} -> {ho}x{wo}");
                 let x = randn(&[n, ci, h, w], (h * w + stride) as u64);
                 let wt = randn(&[co, ci, kh, kw], (kdim + pad) as u64);
                 let g = randn(&[n, co, ho, wo], (cols + co) as u64);
@@ -245,33 +222,7 @@ fn span_unfold_matches_the_per_element_unfold() {
                     ConvAlgo::Im2colGemm,
                     "{label}"
                 );
-                let geometry = (ci, h, w, kh, kw, ho, wo);
-                let w2 = wt.reshape(&[co, kdim]);
-                let w2t = permute_ref(&w2, &[1, 0]);
-
-                let mut fwd = Vec::new();
-                let mut bwd_input = Vec::new();
-                let mut bwd_weight = Tensor::zeros(&[co, kdim]);
-                for s in 0..n {
-                    let xs = &x.data()[s * ci * h * w..(s + 1) * ci * h * w];
-                    let gs = &g.data()[s * co * cols..(s + 1) * co * cols];
-                    let gs = Tensor::from_vec(gs.to_vec(), &[co, cols]);
-                    let mut col = Tensor::zeros(&[kdim, cols]);
-                    for_each_tap(geometry, args, |at, cell| col.data_mut()[cell] = xs[at]);
-                    fwd.extend_from_slice(matmul_naive(&w2, &col).data());
-                    let folded_from = matmul_naive(&w2t, &gs);
-                    let mut gx = vec![0.0f32; ci * h * w];
-                    for_each_tap(geometry, args, |at, cell| {
-                        gx[at] += folded_from.data()[cell]
-                    });
-                    bwd_input.extend(gx);
-                    let part = matmul_naive(&gs, &permute_ref(&col, &[1, 0]));
-                    for (acc, &p) in bwd_weight.data_mut().iter_mut().zip(part.data()) {
-                        *acc += p;
-                    }
-                }
-                let fwd = Tensor::from_vec(fwd, &[n, co, ho, wo]);
-                let bwd_input = Tensor::from_vec(bwd_input, &[n, ci, h, w]);
+                let (fwd, bwd_input, bwd_weight) = conv_oracle::conv_oracle(&x, &wt, &g, args);
                 assert_eq!(bits(&conv2d(&x, &wt, args)), bits(&fwd), "conv2d {label}");
                 assert_eq!(
                     bits(&conv2d_backward_input(&g, &wt, (h, w), args)),
@@ -285,6 +236,28 @@ fn span_unfold_matches_the_per_element_unfold() {
                 );
             }
         }
+    }
+}
+
+/// What is left of the shape-based selection: a 1x1/stride-1/unpadded
+/// convolution is a GEMM over channels, everything else unfolds — however
+/// small (the direct-loop lowering for tiny problems is gone).
+#[test]
+fn conv_algo_selection_is_by_kernel_window_alone() {
+    let select =
+        |x: [usize; 4], w: [usize; 4], s, p| ConvAlgo::select(&x, &w, Conv2dArgs::new(s, p));
+    assert_eq!(
+        select([2, 3, 8, 8], [4, 3, 1, 1], 1, 0),
+        ConvAlgo::DirectGemm
+    );
+    for (x, w, s, p) in [
+        ([2, 3, 8, 8], [4, 3, 1, 1], 2, 0), // strided 1x1
+        ([2, 3, 8, 8], [4, 3, 1, 1], 1, 1), // padded 1x1
+        ([1, 1, 3, 3], [1, 1, 3, 3], 1, 0), // 81 multiply-adds
+        ([16, 2, 16, 16], [1, 2, 4, 4], 4, 0),
+        ([2, 8, 12, 12], [16, 8, 3, 3], 1, 1),
+    ] {
+        assert_eq!(select(x, w, s, p), ConvAlgo::Im2colGemm, "{x:?} {w:?}");
     }
 }
 
