@@ -1,5 +1,5 @@
 //! Ablation: the framework's kernel design choices — blocked vs naive
-//! GEMM, and im2col vs direct convolution (DESIGN.md section 6).
+//! GEMM, and lowered vs direct convolution (DESIGN.md section 6).
 
 use std::time::Instant;
 
@@ -20,7 +20,7 @@ fn time(label: &str, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Direct convolution reference (no im2col).
+/// Direct convolution reference (no lowering).
 fn conv2d_direct(input: &Tensor, weight: &Tensor) -> Tensor {
     let (n, c, h, w) = (
         input.shape()[0],
@@ -60,7 +60,7 @@ fn conv2d_direct(input: &Tensor, weight: &Tensor) -> Tensor {
 fn main() {
     banner(
         "Ablation",
-        "framework kernel choices (blocked GEMM, im2col conv)",
+        "framework kernel choices (blocked GEMM, lowered conv)",
     );
     let mut rng = Rng::seed_from(1);
     let a = Tensor::randn(&[128, 128], &mut rng);
@@ -76,11 +76,11 @@ fn main() {
 
     let x = Tensor::randn(&[4, 8, 24, 24], &mut rng);
     let w = Tensor::randn(&[16, 8, 3, 3], &mut rng);
-    let fast = time("conv2d 8->16 3x3 @24^2 (im2col + GEMM)", || {
+    let fast = time("conv2d 8->16 3x3 @24^2 (packed strips)", || {
         let _ = conv2d(&x, &w, Conv2dArgs::new(1, 0));
     });
     let slow = time("conv2d 8->16 3x3 @24^2 (direct loops)", || {
         let _ = conv2d_direct(&x, &w);
     });
-    println!("im2col conv speedup: {:.2}x", slow / fast);
+    println!("lowered conv speedup: {:.2}x", slow / fast);
 }

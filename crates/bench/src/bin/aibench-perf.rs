@@ -5,7 +5,8 @@
 //! and once on the scalar-tiled baseline ([`GemmPath::Scalar`]); both
 //! paths are bitwise identical, so the comparison is pure wall-clock. The
 //! reduction entry is baselined against a strictly serial scalar sum
-//! instead (the lane-blocked reduction has no runtime toggle).
+//! instead (the lane-blocked reduction has no runtime toggle). Serving
+//! and data-parallel training are measured by `benchmark/`, not here.
 //!
 //! Writes a schema-versioned `BENCH_<date>.json` snapshot at the
 //! repository root, compares per-suite geomean speedup ratios against the
@@ -14,7 +15,7 @@
 //! methodology.
 //!
 //! Usage: `cargo run --release -p aibench-bench --bin aibench-perf
-//! [-- --dry-run] [-- --dir <path>]`
+//! [-- [--dry-run] [--dir <path>]]`; any other argument exits 2.
 
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -200,90 +201,6 @@ fn trainer_suite(entries: &mut Vec<PerfEntry>) {
     }
 }
 
-fn dist_suite(entries: &mut Vec<PerfEntry>) {
-    use aibench_dist::{run_data_parallel, DistConfig, RunParams};
-
-    // One distributed CNN entry tracking data-parallel scaling overhead:
-    // the same DC-AI-C1 epoch run as a 4-worker group vs a 1-worker group
-    // through the same engine (identical total examples; the group adds
-    // per-replica optimizer steps and the tree all-reduce). The gate
-    // quantity is w1_ns / w4_ns — the per-epoch scaling efficiency — so a
-    // growing reduction/replication overhead shows up as a falling ratio.
-    let registry = Registry::aibench();
-    let bench = registry.get("DC-AI-C1").expect("CNN benchmark in registry");
-    let factory = |s: u64| {
-        bench
-            .build_data_parallel(s)
-            .expect("DC-AI-C1 trains data-parallel")
-    };
-    let params = RunParams {
-        max_epochs: 1,
-        eval_every: 1,
-        snapshot_every: 0,
-    };
-    let never = |_q: f64| false;
-    let reps = 3;
-    ops::set_gemm_path(GemmPath::Blocked);
-    let (w4, w1) = time_interleaved(
-        reps,
-        || {
-            std::hint::black_box(run_data_parallel(
-                &factory,
-                1,
-                &never,
-                &params,
-                &DistConfig::with_world(4),
-            ));
-        },
-        || {
-            std::hint::black_box(run_data_parallel(
-                &factory,
-                1,
-                &never,
-                &params,
-                &DistConfig::with_world(1),
-            ));
-        },
-    );
-    entries.push(entry("dist_cnn_epoch_w4", "dist", reps, w4, w1));
-}
-
-fn serve_suite(entries: &mut Vec<PerfEntry>) {
-    use aibench_bench::load::{
-        chaos_entries, run_chaos_load, run_load, serial_baseline_seconds, serve_entries, LoadParams,
-    };
-
-    // The serving subsystem's gate quantities, all same-machine ratios:
-    // scheduler efficiency against the bare supervised loop, tail-to-mean
-    // completion latency at p99/p999, and queue-wait fairness — measured on
-    // the fixed 1000-client load trace (`aibench-load`'s default workload).
-    let registry = Registry::aibench();
-    let params = LoadParams::default();
-    println!(
-        "running serve load trace ({} clients) + serial baseline ...",
-        params.clients
-    );
-    ops::set_gemm_path(GemmPath::Blocked);
-    let (_, stats) = run_load(&registry, &params);
-    assert_eq!(
-        stats.completed, params.clients,
-        "serve load dropped sessions"
-    );
-    let serial = serial_baseline_seconds(&registry, &params);
-    entries.extend(serve_entries(&stats, serial));
-
-    // The chaos soak of the same trace: recovery traffic and tail ratios
-    // under the fixed seed 42. Deterministic (logical counters only), so
-    // the ratios are stable across hosts and thread counts.
-    println!("soaking the same trace under chaos seed 42 ...");
-    let (_, chaos_stats) = run_chaos_load(&registry, &params, 42);
-    assert_eq!(
-        chaos_stats.completed, params.clients,
-        "chaos soak stranded sessions"
-    );
-    entries.extend(chaos_entries(&chaos_stats, &stats));
-}
-
 /// Most recent `BENCH_*.json` in `dir` (lexicographically latest name —
 /// the `YYYY-MM-DD` date format makes that chronological), if any.
 fn latest_snapshot(dir: &Path) -> Option<(PathBuf, PerfSnapshot)> {
@@ -311,15 +228,48 @@ fn latest_snapshot(dir: &Path) -> Option<(PathBuf, PerfSnapshot)> {
     }
 }
 
+/// What the command line asked for.
+#[derive(Debug, PartialEq)]
+struct Args {
+    /// Measure and compare, but write no snapshot.
+    dry_run: bool,
+    /// Where snapshots are read and written; the repository root if unset.
+    dir: Option<PathBuf>,
+}
+
+/// Parses the arguments after the program name. An unknown flag or a
+/// `--dir` without a path is an error, never silently ignored: a typo
+/// must not run the harness and write a snapshot into the repository.
+fn parse_args(raw: &[String]) -> Result<Args, String> {
+    let mut args = Args {
+        dry_run: false,
+        dir: None,
+    };
+    let mut it = raw.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--dry-run" => args.dry_run = true,
+            "--dir" => {
+                let dir = it
+                    .next()
+                    .filter(|d| !d.starts_with("--"))
+                    .ok_or("--dir needs a path")?;
+                args.dir = Some(PathBuf::from(dir));
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(args)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let dry_run = args.iter().any(|a| a == "--dry-run");
-    let dir = args
-        .iter()
-        .position(|a| a == "--dir")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Args { dry_run, dir } = parse_args(&raw).unwrap_or_else(|problem| {
+        eprintln!("aibench-perf: {problem}");
+        eprintln!("usage: aibench-perf [--dry-run] [--dir <path>]");
+        std::process::exit(2);
+    });
+    let dir = dir.unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
 
     aibench_parallel::ParallelConfig::from_env().install();
     println!("aibench-perf ({SCHEMA_VERSION})");
@@ -335,8 +285,6 @@ fn main() {
     conv_suite(&mut entries);
     reduce_suite(&mut entries);
     trainer_suite(&mut entries);
-    dist_suite(&mut entries);
-    serve_suite(&mut entries);
 
     let now = SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -360,7 +308,7 @@ fn main() {
         );
     }
     println!();
-    for kind in ["gemm", "conv", "reduce", "trainer", "dist", "serve"] {
+    for kind in ["gemm", "conv", "reduce", "trainer"] {
         if let Some(g) = snapshot.geomean_speedup(kind) {
             println!("geomean speedup ({kind:>7}): {g:.2}x");
         }
@@ -410,5 +358,53 @@ fn main() {
     if regressed {
         eprintln!("aibench-perf: speedup regression beyond threshold; failing.");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        let raw: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&raw)
+    }
+
+    #[test]
+    fn dry_run_and_dir_parse() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Args {
+                dry_run: false,
+                dir: None
+            })
+        );
+        assert_eq!(
+            parse(&["--dry-run"]),
+            Ok(Args {
+                dry_run: true,
+                dir: None
+            })
+        );
+        assert_eq!(
+            parse(&["--dir", "X", "--dry-run"]),
+            Ok(Args {
+                dry_run: true,
+                dir: Some(PathBuf::from("X"))
+            })
+        );
+    }
+
+    #[test]
+    fn a_dir_without_a_path_is_an_error() {
+        assert!(parse(&["--dir"]).is_err());
+        assert!(parse(&["--dir", "--dry-run"]).is_err());
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error() {
+        let err = parse(&["--dryrun"]).unwrap_err();
+        assert!(err.contains("--dryrun"), "{err}");
+        assert!(parse(&["--dry-run", "extra"]).is_err());
     }
 }

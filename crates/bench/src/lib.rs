@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 use aibench::registry::Registry;
 use aibench::runner::{run_to_quality, RunConfig};
 
-pub mod load;
 pub mod perf;
 
 /// Standard epoch cap used by every harness ("entire training session").

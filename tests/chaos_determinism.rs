@@ -4,7 +4,9 @@
 //!   admission schedule at 1, 4, and 8 threads, with bitwise-identical
 //!   per-session results;
 //! * under any seeded chaos schedule, every accepted session's final
-//!   `RunResult` is bitwise identical to its chaos-free counterpart;
+//!   `RunResult` is bitwise identical to its chaos-free counterpart —
+//!   also when a late elevated-priority arrival parks a running session
+//!   mid-soak;
 //! * the empty `ChaosSchedule` is a true no-op: a calm soak is
 //!   indistinguishable from a plain `run_trace` replay (schedule, ticks,
 //!   and result bits);
@@ -21,7 +23,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use aibench::registry::Registry;
-use aibench_chaos::{run_soak, ChaosSchedule, SoakConfig};
+use aibench_chaos::{run_soak, ChaosKind, ChaosSchedule, ChaosSite, SoakConfig};
 use aibench_parallel::ParallelConfig;
 use aibench_serve::wire::{read_frame, write_frame, ClientMsg, ServerMsg};
 use aibench_serve::{run_trace, RunRequest, ServeConfig};
@@ -87,9 +89,23 @@ fn chaos_never_changes_result_bits() {
         &ChaosSchedule::empty(),
         SoakConfig::default(),
     );
-    for seed in [7u64, 33, 101] {
-        let chaos = ChaosSchedule::seeded(seed, 60, 14);
+    let mut schedules: Vec<(u64, ChaosSchedule, bool)> = [7u64, 33, 101]
+        .map(|seed| (seed, ChaosSchedule::seeded(seed, 60, 14), false))
+        .into();
+    // Delaying the priority-3 submit (client 3's, the fourth frame sent)
+    // by a tick lets two sessions start first: it arrives to a full
+    // budget and must park one mid-soak.
+    schedules.push((
+        1,
+        ChaosSchedule::new(1).inject(ChaosSite::ClientToServer, 3, ChaosKind::Delay { ticks: 1 }),
+        true,
+    ));
+    for (seed, chaos, must_park) in schedules {
         let report = run_soak(&registry, &requests, &chaos, SoakConfig::default());
+        if must_park {
+            let sig = report.schedule_signature();
+            assert!(sig.contains(":park@"), "seed {seed}: nothing parked: {sig}");
+        }
         let results = report.results();
         for (key, calm_done) in calm.results() {
             let done = results
