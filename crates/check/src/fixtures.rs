@@ -3,17 +3,10 @@
 //! asserts every fixture produces at least one diagnostic of its family's
 //! rule, so a silently weakened rule fails the build rather than shipping.
 
-use crate::{audit, chaos, ckpt, counts, faults, serve, shape, tape, trace, Diagnostic};
-use aibench::runner::RunConfig;
-use aibench_ckpt::{FailingSink, MemorySink, SnapshotFile, State};
-use aibench_dist::{DistConfig, DistFaultKind, DistSchedule};
-use aibench_fault::{
-    supervised_run, supervised_run_with_sink, FaultKind, FaultSchedule, RecoveryPolicy,
-    SentinelConfig, SupervisorConfig,
-};
+use crate::{audit, ckpt, counts, shape, tape, trace, Diagnostic};
+use aibench_ckpt::{SnapshotFile, State};
 use aibench_gpusim::{DeviceConfig, Kernel, KernelCategory, Simulator};
 use aibench_models::{Layer, LayerKind, ModelSpec, Trainer};
-use aibench_serve::{Quirks, ServeConfig};
 
 /// Names of all seeded-defect fixtures, in canonical order.
 pub const FIXTURES: &[&str] = &[
@@ -26,32 +19,11 @@ pub const FIXTURES: &[&str] = &[
     "ckpt-bit-flip",
     "ckpt-version-mismatch",
     "ckpt-orphan-section",
-    "fault-non-finite-loss",
-    "fault-loss-spike",
-    "fault-non-finite-param",
-    "fault-exploding-grad-norm",
-    "fault-kernel-panic",
-    "fault-checkpoint-io",
-    "fault-stalled-progress",
-    "fault-budget-exhausted",
-    "fault-straggler-delay",
-    "fault-worker-drop",
-    "fault-corrupt-grad-shard",
-    "fault-lost-contribution",
-    "fault-frame-corrupt",
-    "fault-connection-lost",
-    "fault-store-corrupt",
     "audit-racy-kernel",
     "audit-unstable-reduction",
     "audit-unsnapshotted-state",
     "audit-rng-in-region",
     "audit-thread-chunking",
-    "serve-starved-tenant",
-    "serve-lost-park-snapshot",
-    "serve-budget-overcommit",
-    "chaos-dropped-lease",
-    "chaos-duplicate-session",
-    "chaos-unbounded-queue",
 ];
 
 /// Runs one fixture by name; `None` for an unknown name. Each returned
@@ -68,21 +40,6 @@ pub fn run(name: &str) -> Option<Vec<Diagnostic>> {
         "ckpt-bit-flip" => Some(ckpt_bit_flip()),
         "ckpt-version-mismatch" => Some(ckpt_version_mismatch()),
         "ckpt-orphan-section" => Some(ckpt_orphan_section()),
-        "fault-non-finite-loss" => Some(fault_non_finite_loss()),
-        "fault-loss-spike" => Some(fault_loss_spike()),
-        "fault-non-finite-param" => Some(fault_non_finite_param()),
-        "fault-exploding-grad-norm" => Some(fault_exploding_grad_norm()),
-        "fault-kernel-panic" => Some(fault_kernel_panic()),
-        "fault-checkpoint-io" => Some(fault_checkpoint_io()),
-        "fault-stalled-progress" => Some(fault_stalled_progress()),
-        "fault-budget-exhausted" => Some(fault_budget_exhausted()),
-        "fault-straggler-delay" => Some(fault_straggler_delay()),
-        "fault-worker-drop" => Some(fault_worker_drop()),
-        "fault-corrupt-grad-shard" => Some(fault_corrupt_grad_shard()),
-        "fault-lost-contribution" => Some(fault_lost_contribution()),
-        "fault-frame-corrupt" => Some(fault_frame_corrupt()),
-        "fault-connection-lost" => Some(fault_connection_lost()),
-        "fault-store-corrupt" => Some(fault_store_corrupt()),
         // The audit fixtures live next to the analyses they prove, in
         // `aibench_audit::fixtures`; here they only need rendering.
         "audit-racy-kernel" => Some(audit::to_diagnostics(aibench_audit::fixtures::racy_kernel())),
@@ -98,12 +55,6 @@ pub fn run(name: &str) -> Option<Vec<Diagnostic>> {
         "audit-thread-chunking" => Some(audit::to_diagnostics(
             aibench_audit::fixtures::thread_dependent_chunking(),
         )),
-        "serve-starved-tenant" => Some(serve_starved_tenant()),
-        "serve-lost-park-snapshot" => Some(serve_lost_park_snapshot()),
-        "serve-budget-overcommit" => Some(serve_budget_overcommit()),
-        "chaos-dropped-lease" => Some(chaos_dropped_lease()),
-        "chaos-duplicate-session" => Some(chaos_duplicate_session()),
-        "chaos-unbounded-queue" => Some(chaos_unbounded_queue()),
         _ => None,
     }
 }
@@ -294,338 +245,6 @@ fn ckpt_orphan_section() -> Vec<Diagnostic> {
     ckpt::check_snapshot("fixture/ckpt-orphan-section", &bytes)
 }
 
-/// Detect-without-recovering supervisor: every fault quarantines, so the
-/// fixture's injected defect surfaces as exactly its own fault kind.
-fn detect_only() -> SupervisorConfig {
-    SupervisorConfig {
-        policy: RecoveryPolicy::detect_only(),
-        ..SupervisorConfig::default()
-    }
-}
-
-/// Runs the rollback probe benchmark under supervision with a seeded
-/// schedule and renders the fault log as diagnostics.
-fn fault_probe(
-    name: &str,
-    schedule: FaultSchedule,
-    sup: &SupervisorConfig,
-    max_epochs: usize,
-) -> Vec<Diagnostic> {
-    let registry = aibench::Registry::aibench();
-    let benchmark = registry.get("DC-AI-C15").expect("rollback probe benchmark");
-    let config = RunConfig {
-        max_epochs,
-        eval_every: 1,
-        ..RunConfig::default()
-    };
-    let run = supervised_run(benchmark, 2, &config, &schedule, sup);
-    faults::diagnose(name, &run)
-}
-
-/// A training loss replaced by NaN at epoch 2.
-fn fault_non_finite_loss() -> Vec<Diagnostic> {
-    let schedule = FaultSchedule::new(1).inject(2, FaultKind::LossValue { value: f32::NAN });
-    fault_probe(
-        "fixture/fault-non-finite-loss",
-        schedule,
-        &detect_only(),
-        10,
-    )
-}
-
-/// A finite but absurd loss at epoch 3 (after a 1-epoch spike warmup).
-fn fault_loss_spike() -> Vec<Diagnostic> {
-    let schedule = FaultSchedule::new(2).inject(3, FaultKind::LossValue { value: 1e12 });
-    let sup = SupervisorConfig {
-        sentinels: SentinelConfig {
-            loss_spike_warmup: 1,
-            ..SentinelConfig::default()
-        },
-        ..detect_only()
-    };
-    fault_probe("fixture/fault-loss-spike", schedule, &sup, 10)
-}
-
-/// One parameter value poisoned with NaN at epoch 2.
-fn fault_non_finite_param() -> Vec<Diagnostic> {
-    let schedule = FaultSchedule::new(3).inject(2, FaultKind::ParamNan);
-    fault_probe(
-        "fixture/fault-non-finite-param",
-        schedule,
-        &detect_only(),
-        10,
-    )
-}
-
-/// One parameter's gradient blown up to 1e12 at epoch 2.
-fn fault_exploding_grad_norm() -> Vec<Diagnostic> {
-    let schedule = FaultSchedule::new(4).inject(2, FaultKind::GradExplosion { scale: 1e12 });
-    fault_probe(
-        "fixture/fault-exploding-grad-norm",
-        schedule,
-        &detect_only(),
-        10,
-    )
-}
-
-/// A parallel kernel that panics mid-region at epoch 2.
-fn fault_kernel_panic() -> Vec<Diagnostic> {
-    let schedule = FaultSchedule::new(5).inject(2, FaultKind::KernelPanic);
-    fault_probe("fixture/fault-kernel-panic", schedule, &detect_only(), 10)
-}
-
-/// A checkpoint sink whose save at epoch 1 fails (the `FailingSink` test
-/// double), under a schedule that injects nothing itself.
-fn fault_checkpoint_io() -> Vec<Diagnostic> {
-    let registry = aibench::Registry::aibench();
-    let benchmark = registry.get("DC-AI-C15").expect("rollback probe benchmark");
-    let config = RunConfig {
-        max_epochs: 4,
-        eval_every: 1,
-        ..RunConfig::default()
-    };
-    let mut sink = FailingSink::new(MemorySink::new()).fail_save_at(1);
-    let run = supervised_run_with_sink(
-        benchmark,
-        2,
-        &config,
-        &FaultSchedule::empty(),
-        &detect_only(),
-        &mut sink,
-    );
-    faults::diagnose("fixture/fault-checkpoint-io", &run)
-}
-
-/// A frozen quality metric with the stall sentinel opted in.
-fn fault_stalled_progress() -> Vec<Diagnostic> {
-    let schedule = FaultSchedule::new(6).inject_persistent(1, FaultKind::EvalFreeze);
-    let sup = SupervisorConfig {
-        sentinels: SentinelConfig {
-            stall_window: Some(3),
-            ..SentinelConfig::default()
-        },
-        ..detect_only()
-    };
-    fault_probe("fixture/fault-stalled-progress", schedule, &sup, 12)
-}
-
-/// A persistent NaN loss under a rollback policy with an effectively
-/// unlimited recovery cap: the epoch watchdog must end the run.
-fn fault_budget_exhausted() -> Vec<Diagnostic> {
-    let schedule =
-        FaultSchedule::new(7).inject_persistent(2, FaultKind::LossValue { value: f32::NAN });
-    let sup = SupervisorConfig {
-        max_recoveries: 1000,
-        epoch_budget_factor: 1,
-        ..SupervisorConfig::default()
-    };
-    fault_probe("fixture/fault-budget-exhausted", schedule, &sup, 3)
-}
-
-/// Runs a two-worker distributed session of the probe benchmark under a
-/// seeded distributed fault schedule and renders the engine's fault log
-/// as diagnostics. Recovery is left to the default `DistPolicy` — the
-/// point here is that every injected distributed defect is *recorded*
-/// under its own rule, whatever the engine does about it.
-fn dist_fault_probe(name: &str, schedule: DistSchedule) -> Vec<Diagnostic> {
-    let registry = aibench::Registry::aibench();
-    let benchmark = registry
-        .get("DC-AI-C15")
-        .expect("distributed probe benchmark");
-    let config = RunConfig {
-        max_epochs: 2,
-        eval_every: 1,
-        ..RunConfig::default()
-    };
-    let dist = DistConfig {
-        schedule,
-        ..DistConfig::with_world(2)
-    };
-    let report = aibench::distributed::run_distributed_to_quality(benchmark, 2, &config, &dist)
-        .expect("DC-AI-C15 supports data-parallel training");
-    faults::diagnose_dist(name, &report.dist)
-}
-
-/// Worker 1 runs 3 ticks late at epoch 1, step 2; the default policy
-/// absorbs the delay into logical time.
-fn fault_straggler_delay() -> Vec<Diagnostic> {
-    let schedule =
-        DistSchedule::empty().inject(1, 2, 1, DistFaultKind::StragglerDelay { ticks: 3 });
-    dist_fault_probe("fixture/fault-straggler-delay", schedule)
-}
-
-/// Worker 1 drops out mid-epoch; the survivor takes over via
-/// exclude-and-reshard.
-fn fault_worker_drop() -> Vec<Diagnostic> {
-    let schedule = DistSchedule::empty().inject(1, 2, 1, DistFaultKind::WorkerDrop);
-    dist_fault_probe("fixture/fault-worker-drop", schedule)
-}
-
-/// Worker 0's gradient shard arrives with flipped bits; the CRC sentinel
-/// catches it and the shard is quarantined out of the reduction.
-fn fault_corrupt_grad_shard() -> Vec<Diagnostic> {
-    let schedule = DistSchedule::empty().inject(1, 1, 0, DistFaultKind::CorruptGradShard);
-    dist_fault_probe("fixture/fault-corrupt-grad-shard", schedule)
-}
-
-/// Worker 1's all-reduce contribution never arrives; the group rolls back
-/// to the epoch-boundary snapshot and replays the epoch.
-fn fault_lost_contribution() -> Vec<Diagnostic> {
-    let schedule = DistSchedule::empty().inject(1, 1, 1, DistFaultKind::LostContribution);
-    dist_fault_probe("fixture/fault-lost-contribution", schedule)
-}
-
-/// A scheduler that breaks admission ties by arrival order alone
-/// (`starve_fifo`), letting the flooding tenant drain its whole queue
-/// before the lone tenant's request runs.
-fn serve_starved_tenant() -> Vec<Diagnostic> {
-    let registry = aibench::Registry::aibench();
-    let config = ServeConfig {
-        budget: 1,
-        quirks: Quirks {
-            starve_fifo: true,
-            ..Quirks::default()
-        },
-        ..ServeConfig::default()
-    };
-    serve::check_fair_share_with(&registry, config)
-}
-
-/// A scheduler that drops the park snapshot right after preempting a
-/// victim (`lose_park_snapshot`): the victim silently restarts from older
-/// state, and the schedule log's resume no longer matches its park.
-fn serve_lost_park_snapshot() -> Vec<Diagnostic> {
-    let registry = aibench::Registry::aibench();
-    let config = ServeConfig {
-        budget: 1,
-        quirks: Quirks {
-            lose_park_snapshot: true,
-            ..Quirks::default()
-        },
-        ..ServeConfig::default()
-    };
-    serve::check_preemption_snapshot_with(&registry, config)
-}
-
-/// A scheduler admitting one session beyond its worker budget
-/// (`overcommit_by`): replaying the schedule log exposes the extra
-/// concurrently running session.
-fn serve_budget_overcommit() -> Vec<Diagnostic> {
-    let registry = aibench::Registry::aibench();
-    let config = ServeConfig {
-        quirks: Quirks {
-            overcommit_by: 1,
-            ..Quirks::default()
-        },
-        ..ServeConfig::default()
-    };
-    serve::check_budget_invariant_with(&registry, config)
-}
-
-/// Runs a tiny chaos soak and renders the lifted chaos-event log as
-/// diagnostics, one per lifted fault, each under the rule of its fault
-/// kind — the chaos analogue of [`faults::diagnose`].
-fn chaos_fault_probe(name: &str, schedule: aibench_chaos::ChaosSchedule) -> Vec<Diagnostic> {
-    let registry = aibench::Registry::aibench();
-    let report = aibench_chaos::run_soak(
-        &registry,
-        &[
-            aibench_serve::RunRequest::new("acme", "DC-AI-C15", 1, 3),
-            aibench_serve::RunRequest::new("zeta", "DC-AI-C15", 2, 3),
-        ],
-        &schedule,
-        aibench_chaos::SoakConfig::default(),
-    );
-    report
-        .lifted_faults()
-        .iter()
-        .map(|event| {
-            Diagnostic::global(
-                name,
-                faults::rule_for_kind(event.fault.kind()),
-                "a chaos-free serving soak",
-                format!("{} (action: {})", event.fault, event.action.kind()),
-            )
-        })
-        .collect()
-}
-
-/// A submit frame with one flipped bit: the CRC refuses it, the client
-/// retransmits, and the chaos log lifts to `frame-corrupt`.
-fn fault_frame_corrupt() -> Vec<Diagnostic> {
-    let schedule = aibench_chaos::ChaosSchedule::new(11).inject(
-        aibench_chaos::ChaosSite::ClientToServer,
-        1,
-        aibench_chaos::ChaosKind::BitFlip { bit: 65 },
-    );
-    chaos_fault_probe("fixture/fault-frame-corrupt", schedule)
-}
-
-/// A mid-stream connection reset: the client reconnects and redeems its
-/// lease, and the chaos log lifts to `connection-lost`.
-fn fault_connection_lost() -> Vec<Diagnostic> {
-    let schedule = aibench_chaos::ChaosSchedule::new(12).inject(
-        aibench_chaos::ChaosSite::ServerToClient,
-        4,
-        aibench_chaos::ChaosKind::Reset,
-    );
-    chaos_fault_probe("fixture/fault-connection-lost", schedule)
-}
-
-/// A torn checkpoint write: CRC validation rejects the snapshot on load
-/// and recovery falls back, and the chaos log lifts to `store-corrupt`.
-fn fault_store_corrupt() -> Vec<Diagnostic> {
-    let schedule = aibench_chaos::ChaosSchedule::new(13).inject(
-        aibench_chaos::ChaosSite::Store,
-        0,
-        aibench_chaos::ChaosKind::TornWrite { keep: 8 },
-    );
-    chaos_fault_probe("fixture/fault-store-corrupt", schedule)
-}
-
-/// A server that forgets a disconnected client's buffered events and
-/// result (`drop_lease`): the reconnecting client finds no lease to
-/// redeem and is stranded.
-fn chaos_dropped_lease() -> Vec<Diagnostic> {
-    let config = ServeConfig {
-        quirks: Quirks {
-            drop_lease: true,
-            ..Quirks::default()
-        },
-        ..ServeConfig::default()
-    };
-    chaos::check_lease_resume_with(&aibench::Registry::aibench(), config)
-}
-
-/// A server that ignores idempotency keys (`duplicate_submission`): a
-/// retransmitted submit creates a second session instead of attaching to
-/// the first.
-fn chaos_duplicate_session() -> Vec<Diagnostic> {
-    let config = ServeConfig {
-        quirks: Quirks {
-            duplicate_submission: true,
-            ..Quirks::default()
-        },
-        ..ServeConfig::default()
-    };
-    chaos::check_idempotent_submit_with(&aibench::Registry::aibench(), config)
-}
-
-/// A server that ignores its admission bound (`ignore_queue_bound`):
-/// nothing is ever shed and the queue grows without limit.
-fn chaos_unbounded_queue() -> Vec<Diagnostic> {
-    let config = ServeConfig {
-        budget: 1,
-        max_queue: 2,
-        quirks: Quirks {
-            ignore_queue_bound: true,
-            ..Quirks::default()
-        },
-        ..ServeConfig::default()
-    };
-    chaos::check_load_shed_with(&aibench::Registry::aibench(), config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,33 +261,16 @@ mod tests {
             ("ckpt-bit-flip", "ckpt-crc"),
             ("ckpt-version-mismatch", "ckpt-version"),
             ("ckpt-orphan-section", "ckpt-orphan-section"),
-            ("fault-non-finite-loss", "fault-non-finite-loss"),
-            ("fault-loss-spike", "fault-loss-spike"),
-            ("fault-non-finite-param", "fault-non-finite-param"),
-            ("fault-exploding-grad-norm", "fault-exploding-grad-norm"),
-            ("fault-kernel-panic", "fault-kernel-panic"),
-            ("fault-checkpoint-io", "fault-checkpoint-io"),
-            ("fault-stalled-progress", "fault-stalled-progress"),
-            ("fault-budget-exhausted", "fault-budget-exhausted"),
-            ("fault-straggler-delay", "fault-straggler-delay"),
-            ("fault-worker-drop", "fault-worker-drop"),
-            ("fault-corrupt-grad-shard", "fault-corrupt-grad-shard"),
-            ("fault-lost-contribution", "fault-lost-contribution"),
-            ("fault-frame-corrupt", "fault-frame-corrupt"),
-            ("fault-connection-lost", "fault-connection-lost"),
-            ("fault-store-corrupt", "fault-store-corrupt"),
             ("audit-racy-kernel", "region-race"),
             ("audit-unstable-reduction", "unstable-accumulation"),
             ("audit-unsnapshotted-state", "snapshot-coverage"),
             ("audit-rng-in-region", "rng-in-region"),
             ("audit-thread-chunking", "thread-dependent-chunking"),
-            ("serve-starved-tenant", "serve-fair-share"),
-            ("serve-lost-park-snapshot", "serve-preemption-snapshot"),
-            ("serve-budget-overcommit", "serve-budget-overcommit"),
-            ("chaos-dropped-lease", "chaos-lease-resume"),
-            ("chaos-duplicate-session", "chaos-idempotent-submit"),
-            ("chaos-unbounded-queue", "chaos-load-shed"),
         ];
+        // A fixture added to `FIXTURES` without a row here would never be
+        // checked: the table must name exactly the fixtures, in order.
+        let names: Vec<&str> = expected_rules.iter().map(|&(f, _)| f).collect();
+        assert_eq!(names, FIXTURES);
         for &(fixture, rule) in expected_rules {
             let diags = run(fixture).expect("known fixture");
             assert!(

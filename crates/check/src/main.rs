@@ -2,45 +2,33 @@
 //! the full benchmark registry and exits nonzero on any violation.
 //!
 //! ```text
-//! aibench-check [--all | --specs | --traces | --tape | --ckpt | --faults | --audit | --dist
-//!                | --serve | --chaos] [--benchmark CODE] [--fixture NAME]
+//! aibench-check [--all | --specs | --traces | --tape | --ckpt | --audit]
+//!               [--benchmark CODE] [--fixture NAME | --list-fixtures]
 //! ```
 //!
 //! * `--specs`  shape inference + exact FLOP/param cross-check
 //! * `--traces` kernel classification and conservation lints
 //! * `--tape`   probe one training epoch per scaled model (slow)
 //! * `--ckpt`   snapshot wire-format + restore round-trip byte-stability
-//! * `--faults` supervised-runner contracts: empty-schedule identity,
-//!   injection replay, rollback integrity, fault-kind coverage (slow)
 //! * `--audit`  region-effect audit: race detection over recorded access
 //!   sets, determinism lints, snapshot-coverage diffing (slow)
-//! * `--dist`   distributed contracts: shard partitioning, 1-worker
-//!   identity with the sequential runner, fault-schedule replay, and
-//!   thread-count invariance (slow)
-//! * `--serve`  serving contracts: schedule determinism across replays and
-//!   thread counts, fair-share admission, park/resume snapshot integrity,
-//!   and the worker-budget invariant (slow)
-//! * `--chaos`  chaos-hardening contracts: seeded-soak determinism across
-//!   replays and thread counts, empty-schedule identity, result-bit
-//!   invariance under chaos, lease resume after connection resets,
-//!   idempotent submission, and load shedding (slow)
 //! * `--all`    everything above (default)
 //! * `--benchmark CODE` restrict any mode to one benchmark (e.g. DC-AI-C1)
 //! * `--fixture NAME` run one seeded-defect fixture (see `--list-fixtures`);
 //!   exits nonzero because the fixture's defect is detected
+//!
+//! Any other argument prints the usage line and exits 2.
 
 #![forbid(unsafe_code)]
 
 use aibench::{Benchmark, Registry};
-use aibench_check::{
-    audit, chaos, ckpt, counts, dist, faults, fixtures, serve, shape, tape, trace, CheckReport,
-};
+use aibench_check::{audit, ckpt, counts, fixtures, shape, tape, trace, CheckReport};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: aibench-check [--all | --specs | --traces | --tape | --ckpt | --faults | --audit \
-         | --dist | --serve | --chaos] [--benchmark CODE] [--fixture NAME | --list-fixtures]"
+        "usage: aibench-check [--all | --specs | --traces | --tape | --ckpt | --audit] \
+         [--benchmark CODE] [--fixture NAME | --list-fixtures]"
     );
     ExitCode::from(2)
 }
@@ -53,8 +41,7 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--all" | "--specs" | "--traces" | "--tape" | "--ckpt" | "--faults" | "--audit"
-            | "--dist" | "--serve" | "--chaos" => {
+            "--all" | "--specs" | "--traces" | "--tape" | "--ckpt" | "--audit" => {
                 if mode.replace(arg.clone()).is_some() {
                     return usage();
                 }
@@ -133,40 +120,10 @@ fn main() -> ExitCode {
             report.absorb(ckpt::check_roundtrip(b));
         }
     }
-    if mode == "--all" || mode == "--faults" {
-        for b in &selected {
-            report.absorb(faults::check_empty_schedule_identity(b));
-            report.absorb(faults::check_injection_replay(b));
-        }
-        report.absorb(faults::check_resume_integrity(&registry));
-        report.absorb(faults::check_fixture_coverage());
-    }
     if mode == "--all" || mode == "--audit" {
         for b in &selected {
             report.absorb(audit::audit_benchmark(b));
         }
-    }
-    if mode == "--all" || mode == "--dist" {
-        report.absorb(dist::check_shard_partition());
-        for b in &selected {
-            report.absorb(dist::check_single_worker_equivalence(b));
-        }
-        report.absorb(dist::check_replay_stability(&registry));
-        report.absorb(dist::check_thread_invariance(&registry));
-    }
-    if mode == "--all" || mode == "--serve" {
-        report.absorb(serve::check_schedule_determinism(&registry));
-        report.absorb(serve::check_fair_share(&registry));
-        report.absorb(serve::check_preemption_snapshot(&registry));
-        report.absorb(serve::check_budget_invariant(&registry));
-    }
-    if mode == "--all" || mode == "--chaos" {
-        report.absorb(chaos::check_chaos_determinism(&registry));
-        report.absorb(chaos::check_empty_schedule_identity(&registry));
-        report.absorb(chaos::check_result_invariance(&registry));
-        report.absorb(chaos::check_lease_resume(&registry));
-        report.absorb(chaos::check_idempotent_submit(&registry));
-        report.absorb(chaos::check_load_shed(&registry));
     }
 
     for d in &report.diagnostics {

@@ -35,9 +35,9 @@ use aibench_fault::{SupervisedSession, SupervisorConfig, Tick};
 
 use crate::wire::{DoneMsg, Event, ProgressEvent, RunRequest};
 
-/// Seeded scheduler defects for `aibench-check --serve`. All off in
-/// production configurations; each quirk reintroduces one scheduler bug
-/// the serve lints must catch.
+/// Seeded scheduler defects. All off in production configurations; each
+/// quirk reintroduces one scheduler bug, and the unit test pinning the
+/// invariant it breaks also asserts that the quirk breaks it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Quirks {
     /// Ignore accumulated tenant service when breaking admission ties —
@@ -764,48 +764,77 @@ mod tests {
         let trace: Vec<(u64, RunRequest)> = (0..5)
             .map(|i| (0u64, RunRequest::new("t", PROBE, i + 1, 2)))
             .collect();
-        let config = ServeConfig {
-            budget: 2,
-            ..ServeConfig::default()
-        };
-        let report = run_trace(&registry, config, &trace);
-        // Replay the schedule log: concurrency never exceeds the budget.
-        let mut running = 0usize;
-        let mut max_running = 0usize;
-        for e in &report.schedule {
-            match e.action {
-                SchedAction::Admit | SchedAction::Resume { .. } => running += 1,
-                SchedAction::Park { .. } | SchedAction::Finish { .. } => running -= 1,
-                _ => {}
+        let max_running = |quirks: Quirks| {
+            let config = ServeConfig {
+                budget: 2,
+                quirks,
+                ..ServeConfig::default()
+            };
+            let report = run_trace(&registry, config, &trace);
+            // Replay the schedule log counting concurrently running sessions.
+            let mut running = 0usize;
+            let mut max_running = 0usize;
+            for e in &report.schedule {
+                match e.action {
+                    SchedAction::Admit | SchedAction::Resume { .. } => running += 1,
+                    SchedAction::Park { .. } | SchedAction::Finish { .. } => running -= 1,
+                    _ => {}
+                }
+                max_running = max_running.max(running);
             }
-            max_running = max_running.max(running);
-        }
-        assert_eq!(max_running, 2);
+            max_running
+        };
+        // Concurrency never exceeds the budget...
+        assert_eq!(max_running(Quirks::default()), 2);
+        // ...unless the scheduler overcommits.
+        let overcommit = Quirks {
+            overcommit_by: 1,
+            ..Quirks::default()
+        };
+        assert_eq!(max_running(overcommit), 3);
     }
 
     #[test]
     fn fair_share_interleaves_tenants() {
         let registry = Registry::aibench();
-        // Tenant a floods; tenant b submits one request a moment later.
-        let mut trace: Vec<(u64, RunRequest)> = (0..4)
-            .map(|i| (0u64, RunRequest::new("a", PROBE, i + 1, 2)))
-            .collect();
-        trace.push((1, RunRequest::new("b", PROBE, 9, 2)));
-        let config = ServeConfig {
-            budget: 1,
-            ..ServeConfig::default()
+        // Tenant a floods; tenant b submits one request at `b_arrives`.
+        // Returns b's (session 4's) place in the admission order.
+        let b_position = |b_arrives: u64, quirks: Quirks| {
+            let mut trace: Vec<(u64, RunRequest)> = (0..4)
+                .map(|i| (0u64, RunRequest::new("a", PROBE, i + 1, 2)))
+                .collect();
+            trace.push((b_arrives, RunRequest::new("b", PROBE, 9, 2)));
+            let config = ServeConfig {
+                budget: 1,
+                quirks,
+                ..ServeConfig::default()
+            };
+            let report = run_trace(&registry, config, &trace);
+            let admits: Vec<u64> = report
+                .schedule
+                .iter()
+                .filter(|e| matches!(e.action, SchedAction::Admit))
+                .map(|e| e.session)
+                .collect();
+            (admits.iter().position(|&s| s == 4).unwrap(), admits)
         };
-        let report = run_trace(&registry, config, &trace);
-        // b (session 4) must be admitted before a's second session: once
-        // a has been served at all, b's zero service wins the tie.
-        let admits: Vec<u64> = report
-            .schedule
-            .iter()
-            .filter(|e| matches!(e.action, SchedAction::Admit))
-            .map(|e| e.session)
-            .collect();
-        let b_pos = admits.iter().position(|&s| s == 4).unwrap();
-        assert_eq!(b_pos, 1, "admission order {admits:?}");
+        let fifo = Quirks {
+            starve_fifo: true,
+            ..Quirks::default()
+        };
+        // Arriving with the flood or a moment after it, b must be admitted
+        // before a's second session: once a has been served at all, b's
+        // zero service wins the tie. Plain FIFO lets a's whole queue go
+        // first.
+        for b_arrives in [0, 1] {
+            let (b_pos, admits) = b_position(b_arrives, Quirks::default());
+            assert_eq!(
+                b_pos, 1,
+                "b at tick {b_arrives}: admission order {admits:?}"
+            );
+            let (b_pos, admits) = b_position(b_arrives, fifo);
+            assert_ne!(b_pos, 1, "starve_fifo at tick {b_arrives}: {admits:?}");
+        }
     }
 
     #[test]
@@ -912,6 +941,19 @@ mod tests {
             server.step();
         }
         assert_eq!(server.submit(submit()).unwrap(), first);
+
+        // A server ignoring idempotency keys opens a second session.
+        let config = ServeConfig {
+            quirks: Quirks {
+                duplicate_submission: true,
+                ..Quirks::default()
+            },
+            ..ServeConfig::default()
+        };
+        let mut server = ServerCore::new(&registry, config);
+        let first = server.submit(submit()).unwrap();
+        let dup = server.submit(submit()).unwrap();
+        assert_ne!(first, dup, "the quirk must duplicate the session");
     }
 
     #[test]
@@ -943,6 +985,25 @@ mod tests {
             server.step();
         }
         assert!(server.submit(RunRequest::new("t", PROBE, 9, 2)).is_ok());
+
+        // A server ignoring its bound queues the third submit instead.
+        let config = ServeConfig {
+            quirks: Quirks {
+                ignore_queue_bound: true,
+                ..Quirks::default()
+            },
+            ..config
+        };
+        let mut server = ServerCore::new(&registry, config);
+        for i in 0..2 {
+            server
+                .submit(RunRequest::new("t", PROBE, i + 1, 2))
+                .unwrap();
+        }
+        assert!(
+            server.submit(RunRequest::new("t", PROBE, 9, 2)).is_ok(),
+            "the quirk must accept past the bound"
+        );
     }
 
     #[test]

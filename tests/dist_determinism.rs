@@ -46,23 +46,35 @@ fn same_seed_and_world_is_bitwise_identical_across_thread_counts() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Registry::aibench();
     let b = probe(&registry);
-    let dist = DistConfig::with_world(2);
-    let mut baseline = None;
-    for threads in [1usize, 4, 8] {
-        let config = RunConfig {
-            parallel: Some(ParallelConfig::with_threads(threads)),
-            ..cfg(3)
+    // Clean, and with a corrupt gradient shard quarantined out of the
+    // tree all-reduce.
+    for schedule in [
+        DistSchedule::empty(),
+        DistSchedule::empty().inject(1, 1, 0, DistFaultKind::CorruptGradShard),
+    ] {
+        let faulted = !schedule.injections().is_empty();
+        let dist = DistConfig {
+            schedule,
+            ..DistConfig::with_world(2)
         };
-        let report = run_distributed_to_quality(b, 7, &config, &dist).expect("supported");
-        match &baseline {
-            None => baseline = Some(report),
-            Some(expect) => assert!(
-                expect.dist.deterministic_eq(&report.dist),
-                "{threads}-thread distributed run differs from serial: \
-                 quality {:.9} vs {:.9}",
-                expect.result.final_quality,
-                report.result.final_quality
-            ),
+        let mut baseline = None;
+        for threads in [1usize, 4, 8] {
+            let config = RunConfig {
+                parallel: Some(ParallelConfig::with_threads(threads)),
+                ..cfg(3)
+            };
+            let report = run_distributed_to_quality(b, 7, &config, &dist).expect("supported");
+            assert_eq!(!report.dist.faults.is_empty(), faulted);
+            match &baseline {
+                None => baseline = Some(report),
+                Some(expect) => assert!(
+                    expect.dist.deterministic_eq(&report.dist),
+                    "{threads}-thread distributed run differs from serial: \
+                     quality {:.9} vs {:.9}",
+                    expect.result.final_quality,
+                    report.result.final_quality
+                ),
+            }
         }
     }
     ParallelConfig::from_env().install();
@@ -70,6 +82,24 @@ fn same_seed_and_world_is_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn single_worker_group_is_bitwise_identical_to_the_sequential_runner() {
+    let assert_identity = |b: &Benchmark, seed: u64, config: &RunConfig| {
+        let code = b.id.code();
+        let (max_epochs, eval_every) = (config.max_epochs, config.eval_every);
+        let plain = run_to_quality(b, seed, config);
+        let report = run_distributed_to_quality(b, seed, config, &DistConfig::with_world(1))
+            .expect("supported");
+        assert!(
+            plain.deterministic_eq(&report.result),
+            "{code}: 1-worker group diverged from the sequential runner at \
+             ({max_epochs}, {eval_every}): {} epoch(s) to {:.9} vs {} epoch(s) to {:.9}",
+            plain.epochs_run,
+            plain.final_quality,
+            report.result.epochs_run,
+            report.result.final_quality
+        );
+        assert!(report.dist.faults.is_empty(), "{code}");
+        assert_eq!(report.dist.reshards, 0, "{code}");
+    };
     let registry = Registry::aibench();
     let b = probe(&registry);
     // Seed 1 converges after a few epochs; seed 2 trains to each of the
@@ -79,20 +109,13 @@ fn single_worker_group_is_bitwise_identical_to_the_sequential_runner() {
             eval_every,
             ..cfg(max_epochs)
         };
-        let plain = run_to_quality(b, seed, &config);
-        let report = run_distributed_to_quality(b, seed, &config, &DistConfig::with_world(1))
-            .expect("supported");
-        assert!(
-            plain.deterministic_eq(&report.result),
-            "1-worker group diverged from the sequential runner at ({max_epochs}, {eval_every}): \
-             {} epoch(s) to {:.9} vs {} epoch(s) to {:.9}",
-            plain.epochs_run,
-            plain.final_quality,
-            report.result.epochs_run,
-            report.result.final_quality
-        );
-        assert!(report.dist.faults.is_empty());
-        assert_eq!(report.dist.reshards, 0);
+        assert_identity(b, seed, &config);
+    }
+    // Every data-parallel benchmark, MLPerf included, at a short cap.
+    for b in Registry::all().benchmarks() {
+        if b.supports_data_parallel() {
+            assert_identity(b, 1, &cfg(2));
+        }
     }
 }
 
@@ -135,6 +158,23 @@ fn worker_drop_replays_identically_and_still_reaches_target() {
         first.result.epochs_run
     );
     assert!(!first.dist.aborted);
+
+    // A drop and a straggler in the same short run replay too.
+    let dist = DistConfig {
+        schedule: DistSchedule::empty()
+            .inject(1, 2, 1, DistFaultKind::WorkerDrop)
+            .inject(2, 1, 0, DistFaultKind::StragglerDelay { ticks: 2 }),
+        ..DistConfig::with_world(2)
+    };
+    let first = run_distributed_to_quality(b, 1, &cfg(2), &dist).expect("supported");
+    let second = run_distributed_to_quality(b, 1, &cfg(2), &dist).expect("supported");
+    assert!(!first.dist.faults.is_empty(), "the schedule must inject");
+    assert!(
+        first.dist.deterministic_eq(&second.dist),
+        "drop + straggler diverged: {:?} vs {:?}",
+        first.dist.fault_signatures(),
+        second.dist.fault_signatures()
+    );
 }
 
 #[test]

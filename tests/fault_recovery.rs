@@ -14,7 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
-use aibench::registry::Registry;
+use aibench::registry::{Benchmark, Registry};
 use aibench::runner::{run_to_quality, RunConfig};
 use aibench_ckpt::{FailingSink, MemorySink};
 use aibench_dist::{run_data_parallel, DistConfig, DistFaultKind, DistSchedule, RunParams};
@@ -41,8 +41,23 @@ fn cfg(max_epochs: usize) -> RunConfig {
 
 #[test]
 fn empty_schedule_is_bitwise_identical_to_plain_runner() {
-    let registry = Registry::aibench();
     let sup = SupervisorConfig::default();
+    let assert_identity = |b: &Benchmark, seed: u64, config: &RunConfig| {
+        let code = b.id.code();
+        let (max_epochs, eval_every) = (config.max_epochs, config.eval_every);
+        let plain = run_to_quality(b, seed, config);
+        let supervised = supervised_run(b, seed, config, &FaultSchedule::empty(), &sup);
+        assert!(
+            plain.deterministic_eq(&supervised.result),
+            "{code} at ({max_epochs}, {eval_every}): supervision changed the trajectory"
+        );
+        assert_eq!(supervised.fault_signature(), "clean", "{code}");
+        assert!(
+            supervised.outcome.kind() == "converged"
+                || supervised.outcome.kind() == "missed-target"
+        );
+    };
+    let registry = Registry::aibench();
     for code in ["DC-AI-C15", "DC-AI-C16"] {
         let b = registry.get(code).unwrap();
         for (max_epochs, eval_every) in [(6, 1), (5, 2), (5, 3), (4, 0), (7, 4)] {
@@ -50,39 +65,48 @@ fn empty_schedule_is_bitwise_identical_to_plain_runner() {
                 eval_every,
                 ..cfg(max_epochs)
             };
-            let plain = run_to_quality(b, 2, &config);
-            let supervised = supervised_run(b, 2, &config, &FaultSchedule::empty(), &sup);
-            assert!(
-                plain.deterministic_eq(&supervised.result),
-                "{code} at ({max_epochs}, {eval_every}): supervision changed the trajectory"
-            );
-            assert_eq!(supervised.fault_signature(), "clean");
-            assert!(
-                supervised.outcome.kind() == "converged"
-                    || supervised.outcome.kind() == "missed-target"
-            );
+            assert_identity(b, 2, &config);
         }
+    }
+    // Every registered benchmark, MLPerf included, at a short cap.
+    for b in Registry::all().benchmarks() {
+        assert_identity(b, 1, &cfg(2));
     }
 }
 
 #[test]
 fn same_schedule_reproduces_the_identical_run() {
+    let sup = SupervisorConfig::default();
+    let assert_replays =
+        |b: &Benchmark, seed: u64, config: &RunConfig, schedule: &FaultSchedule| {
+            let code = b.id.code();
+            let a = supervised_run(b, seed, config, schedule, &sup);
+            let b_run = supervised_run(b, seed, config, schedule, &sup);
+            assert!(
+                a.deterministic_eq(&b_run),
+                "{code}: same seed + schedule diverged:\n  {}\n  {}",
+                a.fault_signature(),
+                b_run.fault_signature()
+            );
+            assert!(
+                !a.faults.is_empty(),
+                "{code}: the schedule must actually inject"
+            );
+        };
     let registry = Registry::aibench();
-    let b = registry.get("DC-AI-C15").unwrap();
     let schedule = FaultSchedule::new(9)
         .inject(2, FaultKind::GradNan)
         .inject(3, FaultKind::LossValue { value: f32::NAN })
         .inject(4, FaultKind::SaveFail);
-    let sup = SupervisorConfig::default();
-    let a = supervised_run(b, 2, &cfg(30), &schedule, &sup);
-    let b_run = supervised_run(b, 2, &cfg(30), &schedule, &sup);
-    assert!(
-        a.deterministic_eq(&b_run),
-        "same seed + schedule diverged:\n  {}\n  {}",
-        a.fault_signature(),
-        b_run.fault_signature()
-    );
-    assert!(!a.faults.is_empty(), "the schedule must actually inject");
+    assert_replays(registry.get("DC-AI-C15").unwrap(), 2, &cfg(30), &schedule);
+    // Gradient corruption lands in, and replays for, every registered
+    // benchmark at a short cap.
+    let corrupting = FaultSchedule::new(1)
+        .inject(1, FaultKind::GradNan)
+        .inject(2, FaultKind::GradExplosion { scale: 1e12 });
+    for b in Registry::all().benchmarks() {
+        assert_replays(b, 1, &cfg(2), &corrupting);
+    }
 }
 
 #[test]
