@@ -11,7 +11,7 @@ use crate::{coverage, lints, race, with_recording, Finding};
 use aibench_autograd::Param;
 use aibench_ckpt::{Snapshot as _, State};
 use aibench_models::Trainer;
-use aibench_parallel::effects;
+use aibench_parallel::{effects, Exec};
 use aibench_tensor::{Rng, Tensor};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -157,16 +157,8 @@ pub fn thread_dependent_chunking() -> Vec<Finding> {
         let _s = effects::kernel_scope("fixture_elastic_chunks");
         aibench_parallel::parallel_slice_mut(&mut data, chunk, |_, o| o.fill(1.0));
     };
-    let base = aibench_parallel::threads();
-    let ((), report_a) = with_recording(|| {
-        aibench_parallel::set_threads(1);
-        run();
-    });
-    let ((), report_b) = with_recording(|| {
-        aibench_parallel::set_threads(2);
-        run();
-        aibench_parallel::set_threads(base);
-    });
+    let ((), report_a) = Exec::current().with_threads(1).record(run);
+    let ((), report_b) = Exec::current().with_threads(2).record(run);
     lints::lint_chunking("audit-thread-chunking", 1, 2, &report_a, &report_b)
 }
 

@@ -37,9 +37,9 @@ pub mod race;
 
 use aibench::Benchmark;
 use aibench_ckpt::State;
-use aibench_parallel::effects::{self, EffectReport};
+use aibench_parallel::effects::EffectReport;
+use aibench_parallel::Exec;
 use std::fmt;
-use std::sync::Mutex;
 
 /// Seed every audit probe builds trainers from. Fixed so findings are
 /// reproducible run to run.
@@ -69,19 +69,11 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The effect recorder is process-global, so audit sessions (and any test
-/// that records) must not interleave.
-static SESSION: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with effect recording on, returning its result plus everything
-/// recorded. Sessions are serialized process-wide; the recorder is drained
-/// on entry and exit, so concurrent test threads cannot contaminate each
-/// other's reports.
+/// Runs `f` in the calling thread's context with a fresh effect recorder,
+/// returning its result plus everything recorded ([`Exec::record`]);
+/// recordings on other threads at the same time keep their own regions.
 pub fn with_recording<R>(f: impl FnOnce() -> R) -> (R, EffectReport) {
-    let _g = SESSION.lock().unwrap_or_else(|e| e.into_inner());
-    effects::start_recording();
-    let r = f();
-    (r, effects::take_report())
+    Exec::current().record(f)
 }
 
 /// Audits one benchmark end to end: records a full training epoch of a
@@ -94,17 +86,14 @@ pub fn with_recording<R>(f: impl FnOnce() -> R) -> (R, EffectReport) {
 ///    trainer) at a different thread count and requiring identical chunk
 ///    descriptors.
 ///
-/// The configured thread count is restored before returning. An empty
-/// return means the benchmark upholds the determinism contract.
+/// An empty return means the benchmark upholds the determinism contract.
 pub fn audit_benchmark(b: &Benchmark) -> Vec<Finding> {
-    let _g = SESSION.lock().unwrap_or_else(|e| e.into_inner());
     let code = b.id.code();
-    let base_threads = aibench_parallel::threads();
+    let exec = Exec::current();
+    let base_threads = exec.threads();
 
     let mut trainer = b.build(AUDIT_SEED);
-    effects::start_recording();
-    trainer.train_epoch();
-    let report = effects::take_report();
+    let (_, report) = exec.record(|| trainer.train_epoch());
 
     let mut findings = race::detect_races(code, &report);
     findings.extend(lints::lint_regions(code, &report));
@@ -119,12 +108,9 @@ pub fn audit_benchmark(b: &Benchmark) -> Vec<Finding> {
     ));
 
     let alt_threads = if base_threads == 1 { 4 } else { 1 };
-    aibench_parallel::set_threads(alt_threads);
-    let mut retrainer = b.build(AUDIT_SEED);
-    effects::start_recording();
-    retrainer.train_epoch();
-    let alt_report = effects::take_report();
-    aibench_parallel::set_threads(base_threads);
+    let alt = exec.with_threads(alt_threads);
+    let mut retrainer = alt.run(|| b.build(AUDIT_SEED));
+    let (_, alt_report) = alt.record(|| retrainer.train_epoch());
     findings.extend(lints::lint_chunking(
         code,
         base_threads,

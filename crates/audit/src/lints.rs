@@ -132,7 +132,7 @@ pub fn lint_chunking(
 mod tests {
     use super::*;
     use crate::with_recording;
-    use aibench_parallel::effects;
+    use aibench_parallel::{effects, Exec};
 
     #[test]
     fn order_stable_sum_passes_the_accumulation_lint() {
@@ -165,16 +165,8 @@ mod tests {
             aibench_parallel::parallel_slice_mut(&mut data, 10, |_, o| o.fill(1.0));
             aibench_parallel::sum_f32(&data)
         };
-        let (_, a) = with_recording(|| {
-            aibench_parallel::set_threads(1);
-            workload()
-        });
-        let (_, b) = with_recording(|| {
-            aibench_parallel::set_threads(4);
-            let r = workload();
-            aibench_parallel::set_threads(1);
-            r
-        });
+        let (_, a) = Exec::current().with_threads(1).record(workload);
+        let (_, b) = Exec::current().with_threads(4).record(workload);
         assert!(lint_chunking("test", 1, 4, &a, &b).is_empty());
     }
 }

@@ -3,21 +3,17 @@
 //! so the race detector and the per-region lints stay silent on them.
 
 use aibench_audit::{lints, race, with_recording};
+use aibench_parallel::Exec;
 use aibench_tensor::ops::{conv2d, matmul, Conv2dArgs};
 use aibench_tensor::{Rng, Tensor};
 use proptest::prelude::*;
+use std::sync::Barrier;
 
-/// Thread counts the contract is exercised at. `with_recording` serializes
-/// sessions process-wide, so mutating the global pool inside it is safe.
+/// Thread counts the contract is exercised at.
 const THREADS: [usize; 3] = [1, 4, 8];
 
 fn assert_clean(label: &str, threads: usize, f: impl Fn()) {
-    let base = aibench_parallel::threads();
-    let ((), report) = with_recording(|| {
-        aibench_parallel::set_threads(threads);
-        f();
-        aibench_parallel::set_threads(base);
-    });
+    let ((), report) = with_recording(|| Exec::current().with_threads(threads).run(f));
     assert!(
         !report.regions.is_empty(),
         "{label}: kernel recorded no regions at {threads} thread(s)"
@@ -67,6 +63,44 @@ fn gradients_nobody_reads_cost_no_kernel_calls() {
     let loss = g.sum(y);
     let ((), report) = with_recording(|| g.backward(loss));
     assert_eq!(calls(&report, "gemm"), 3, "dW2, dH and dW1, but no dX");
+}
+
+/// Two audits recording at once (a barrier inside both) each get exactly
+/// the regions their kernel records alone, those nested on pool workers
+/// included.
+#[test]
+fn two_recordings_overlap_without_mixing() {
+    let mut rng = Rng::seed_from(5);
+    let [a, b, x, w] = [&[256, 48][..], &[48, 96], &[4, 3, 16, 16], &[8, 3, 3, 3]]
+        .map(|shape| Tensor::randn(shape, &mut rng));
+    let gemm = || drop(matmul(&a, &b));
+    let conv = || drop(conv2d(&x, &w, Conv2dArgs::new(1, 1)));
+    // `(kernel, n, chunk)` of every region, sorted: regions nested on
+    // different workers are recorded in whichever order they open.
+    let record = |kernel: &(dyn Fn() + Sync), barrier: &Barrier| {
+        let ((), report) = with_recording(|| {
+            Exec::current().with_threads(4).run(|| {
+                barrier.wait();
+                (0..20).for_each(|_| kernel());
+                barrier.wait();
+            })
+        });
+        let regions = report.regions.into_iter().map(|r| (r.kernel, r.n, r.chunk));
+        let mut regions: Vec<_> = regions.collect();
+        regions.sort();
+        regions
+    };
+    let alone = Barrier::new(1);
+    let (gemm_alone, conv_alone) = (record(&gemm, &alone), record(&conv, &alone));
+    assert!(conv_alone.iter().any(|(kernel, ..)| kernel.contains('/')));
+    let overlap = Barrier::new(2);
+    let (gemm_beside, conv_beside) = std::thread::scope(|s| {
+        let gemm = s.spawn(|| record(&gemm, &overlap));
+        let conv = s.spawn(|| record(&conv, &overlap));
+        (gemm.join().unwrap(), conv.join().unwrap())
+    });
+    assert_eq!(gemm_beside, gemm_alone);
+    assert_eq!(conv_beside, conv_alone);
 }
 
 proptest! {

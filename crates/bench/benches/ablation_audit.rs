@@ -8,7 +8,7 @@
 //! not need to be: every recording hook is an empty `#[inline(always)]`
 //! stub there, so the feature-off overhead is zero by construction.
 //!
-//! Recording-off overhead is one relaxed atomic load per parallel region
+//! Recording-off overhead is one thread-local read per parallel region
 //! (not per element), so the "off" column should match the plain
 //! `ablation_parallel` numbers; the "on" column pays for access-set
 //! bookkeeping behind a mutex and scales with regions recorded, not work
@@ -17,7 +17,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use aibench_parallel::effects;
+use aibench_parallel::{effects, Exec};
 use aibench_tensor::ops::{conv2d, matmul, Conv2dArgs};
 use aibench_tensor::{Rng, Tensor};
 
@@ -104,9 +104,8 @@ fn main() {
     );
     for case in &mut cases {
         let off_ns = median_ns(case.samples, case.iters, &mut case.run);
-        effects::start_recording();
-        let on_ns = median_ns(case.samples, case.iters, &mut case.run);
-        let report = effects::take_report();
+        let (on_ns, report) =
+            Exec::current().record(|| median_ns(case.samples, case.iters, &mut case.run));
         assert!(
             !report.regions.is_empty(),
             "{}: nothing recorded",

@@ -16,7 +16,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use aibench_gpusim::ParallelConfig;
+use aibench_parallel::Exec;
 use aibench_tensor::ops::{conv2d, conv2d_backward_weight, matmul, max_pool2d, Conv2dArgs};
 use aibench_tensor::{Rng, Tensor};
 
@@ -149,9 +149,10 @@ fn main() {
         let mut serial_ns = 0.0;
         let mut serial_bits: Vec<u32> = Vec::new();
         for &t in &threads {
-            ParallelConfig::with_threads(t).install();
-            let bits: Vec<u32> = (case.run)().iter().map(|v| v.to_bits()).collect();
-            let ns = median_ns(case.samples, case.iters, &mut case.run);
+            let (bits, ns) = Exec::current().with_threads(t).run(|| {
+                let bits: Vec<u32> = (case.run)().iter().map(|v| v.to_bits()).collect();
+                (bits, median_ns(case.samples, case.iters, &mut case.run))
+            });
             let identical = if t == threads[0] {
                 serial_ns = ns;
                 serial_bits = bits;
@@ -176,19 +177,20 @@ fn main() {
         })
     };
     for &t in &threads {
-        ParallelConfig::with_threads(t).install();
-        for (gap, ns) in [
-            ("back to back", median_ns(15, 1000, empty_region)),
-            (
-                "after 1 ms idle",
-                median_ns_after_idle(31, Duration::from_millis(1), empty_region),
-            ),
-        ] {
+        let timings = Exec::current().with_threads(t).run(|| {
+            [
+                ("back to back", median_ns(15, 1000, empty_region)),
+                (
+                    "after 1 ms idle",
+                    median_ns_after_idle(31, Duration::from_millis(1), empty_region),
+                ),
+            ]
+        });
+        for (gap, ns) in timings {
             println!(
                 "{:<24} {:>7} {:>14.0}  {gap}",
                 "dispatch_empty_region", t, ns
             );
         }
     }
-    ParallelConfig::from_env().install();
 }

@@ -24,8 +24,16 @@ use aibench::registry::Registry;
 use aibench_bench::perf::{
     civil_date, compare, min_ns, PerfEntry, PerfSnapshot, REGRESSION_THRESHOLD, SCHEMA_VERSION,
 };
+use aibench_parallel::Exec;
 use aibench_tensor::ops::{self, Conv2dArgs, GemmPath};
 use aibench_tensor::{Rng, Tensor};
+
+/// The calling thread's execution context on the microkernels, and on the
+/// scalar baseline.
+fn both_paths() -> (Exec, Exec) {
+    let on = |path| Exec::current().with_gemm_path(path);
+    (on(GemmPath::Blocked), on(GemmPath::Scalar))
+}
 
 /// Times `reps` interleaved repetition pairs of two measurements (after
 /// one untimed warmup of each) and returns the best (minimum) per-call
@@ -53,18 +61,8 @@ fn time_interleaved(reps: usize, mut first: impl FnMut(), mut second: impl FnMut
 /// Runs one suite member on both GEMM paths (interleaved) and assembles
 /// its entry.
 fn measure(name: &str, kind: &str, reps: usize, f: impl Fn()) -> PerfEntry {
-    let (blocked, scalar) = time_interleaved(
-        reps,
-        || {
-            ops::set_gemm_path(GemmPath::Blocked);
-            f();
-        },
-        || {
-            ops::set_gemm_path(GemmPath::Scalar);
-            f();
-        },
-    );
-    ops::set_gemm_path(GemmPath::Blocked);
+    let (blocked, scalar) = both_paths();
+    let (blocked, scalar) = time_interleaved(reps, || blocked.run(&f), || scalar.run(&f));
     entry(name, kind, reps, blocked, scalar)
 }
 
@@ -172,25 +170,21 @@ fn trainer_suite(entries: &mut Vec<PerfEntry>) {
         let bench = registry
             .get(code)
             .unwrap_or_else(|| panic!("benchmark {code} not in registry"));
-        ops::set_gemm_path(GemmPath::Blocked);
-        let mut blocked_trainer = bench.build(1);
-        blocked_trainer.train_epoch();
-        ops::set_gemm_path(GemmPath::Scalar);
-        let mut scalar_trainer = bench.build(1);
-        scalar_trainer.train_epoch();
+        let (blocked, scalar) = both_paths();
+        let mut blocked_trainer = blocked.run(|| bench.build(1));
+        blocked.run(|| blocked_trainer.train_epoch());
+        let mut scalar_trainer = scalar.run(|| bench.build(1));
+        scalar.run(|| scalar_trainer.train_epoch());
         let mut blocked_samples = Vec::with_capacity(reps);
         let mut scalar_samples = Vec::with_capacity(reps);
         for _ in 0..reps {
-            ops::set_gemm_path(GemmPath::Blocked);
             let t = Instant::now();
-            std::hint::black_box(blocked_trainer.train_epoch());
+            std::hint::black_box(blocked.run(|| blocked_trainer.train_epoch()));
             blocked_samples.push(t.elapsed().as_nanos() as u64);
-            ops::set_gemm_path(GemmPath::Scalar);
             let t = Instant::now();
-            std::hint::black_box(scalar_trainer.train_epoch());
+            std::hint::black_box(scalar.run(|| scalar_trainer.train_epoch()));
             scalar_samples.push(t.elapsed().as_nanos() as u64);
         }
-        ops::set_gemm_path(GemmPath::Blocked);
         entries.push(entry(
             name,
             "trainer",
@@ -271,7 +265,6 @@ fn main() {
     });
     let dir = dir.unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
 
-    aibench_parallel::ParallelConfig::from_env().install();
     println!("aibench-perf ({SCHEMA_VERSION})");
     println!(
         "threads={}  dir={}",

@@ -14,6 +14,7 @@ use aibench_gpusim::{
     ModelProfile, Simulator,
 };
 use aibench_models::ModelSpec;
+use aibench_parallel::Exec;
 
 /// Name → Table-7 category table. Substring patterns, checked in order;
 /// first hit wins. Every kernel the lowering pass may emit must match one.
@@ -217,38 +218,39 @@ pub fn check_inference_purity(bench: &str, spec: &ModelSpec) -> Vec<Diagnostic> 
 }
 
 /// Lints the deterministic-parallelism contract: the profile simulated on
-/// one thread and on the environment's full thread count must agree
-/// exactly (host-pool utilization aside — that legitimately differs), and
-/// the conservation lints of [`check_profile`] must hold for both.
+/// one thread and on a second thread count must agree exactly (host-pool
+/// utilization aside — that legitimately differs), and the conservation
+/// lints of [`check_profile`] must hold for both.
 pub fn check_parallel_determinism(bench: &str, spec: &ModelSpec) -> Vec<Diagnostic> {
-    let sim = Simulator::new(DeviceConfig::titan_xp());
-    let max = aibench_parallel::default_threads();
-    aibench_parallel::set_threads(1);
-    let serial = sim.profile(spec);
-    aibench_parallel::set_threads(max);
-    let parallel = sim.profile(spec);
-    aibench_parallel::ParallelConfig::from_env().install();
-
+    let [mut serial, mut parallel] = profiles_at_two_thread_counts(spec);
+    let threads = parallel.host_pool.threads;
     let mut out = check_profile(bench, &serial);
     out.extend(check_profile(bench, &parallel));
-    let mut a = serial;
-    let mut b = parallel;
-    a.host_pool = Default::default();
-    b.host_pool = Default::default();
-    if a != b {
+    serial.host_pool = Default::default();
+    parallel.host_pool = Default::default();
+    if serial != parallel {
         out.push(Diagnostic::global(
             bench,
             "parallel-determinism",
-            "identical profiles at 1 thread and at the full thread count",
-            format!("profiles diverge between 1 and {max} thread(s)"),
+            "identical profiles at 1 thread and at a second thread count",
+            format!("profiles diverge between 1 and {threads} thread(s)"),
         ));
     }
     out
 }
 
+/// The simulated profile of `spec` on one thread and on the caller's
+/// thread count, or on 4 when that is 1 too (as `aibench-audit` does).
+fn profiles_at_two_thread_counts(spec: &ModelSpec) -> [ModelProfile; 2] {
+    let sim = Simulator::new(DeviceConfig::titan_xp());
+    let exec = Exec::current();
+    let second = Some(exec.threads()).filter(|&t| t > 1).unwrap_or(4);
+    [1, second].map(|threads| exec.clone().with_threads(threads).run(|| sim.profile(spec)))
+}
+
 /// Runs every trace lint for one benchmark spec: classifier agreement on
 /// both training and inference traces, conservation on the simulated
-/// profile at one thread *and* at the full thread count (which also lints
+/// profile at one thread *and* at a second thread count (which also lints
 /// parallel determinism), the fwd:bwd band, and inference purity.
 pub fn check_benchmark(bench: &str, spec: &ModelSpec) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -310,6 +312,17 @@ mod tests {
         let spec = aibench::Registry::all().benchmarks()[0].spec();
         let diags = check_parallel_determinism("mini", &spec);
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn a_one_thread_caller_still_compares_two_thread_counts() {
+        let spec = aibench::Registry::all().benchmarks()[0].spec();
+        let one = Exec::current().with_threads(1);
+        let [serial, parallel] = one.run(|| profiles_at_two_thread_counts(&spec));
+        assert_eq!(
+            (serial.host_pool.threads, parallel.host_pool.threads),
+            (1, 4)
+        );
     }
 
     #[test]

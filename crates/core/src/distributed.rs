@@ -46,8 +46,8 @@ pub struct DistReport {
 }
 
 /// The one body behind both entry points: opens the data-parallel session
-/// (installing `config.parallel` if set), runs the group — through `sink`
-/// when there is one — and closes its progress record into a [`RunResult`].
+/// in `config`'s execution context, runs the group — through `sink` when
+/// there is one — and closes its progress record into a [`RunResult`].
 fn run_group(
     benchmark: &Benchmark,
     seed: u64,
@@ -57,9 +57,6 @@ fn run_group(
 ) -> Option<Result<DistReport, CkptError>> {
     if !benchmark.supports_data_parallel() {
         return None;
-    }
-    if let Some(par) = config.parallel {
-        par.install();
     }
     let start = Instant::now();
     let factory = |s: u64| {
@@ -73,7 +70,7 @@ fn run_group(
         eval_every: config.eval_every,
         snapshot_every: config.checkpoint_every,
     };
-    let outcome = match sink {
+    let outcome = config.exec().run(|| match sink {
         Some(sink) => run_data_parallel_resumable(&factory, seed, &target_met, &params, dist, sink),
         None => Ok(run_data_parallel(
             &factory,
@@ -82,7 +79,7 @@ fn run_group(
             &params,
             dist,
         )),
-    };
+    });
     Some(outcome.map(|dist| DistReport {
         result: RunResult::from_progress(
             benchmark.id.code(),

@@ -2,6 +2,7 @@
 //! benchmarks to their quality targets.
 
 use aibench_ckpt::PartialRun;
+use aibench_parallel::Exec;
 
 use crate::registry::Benchmark;
 use crate::session::TrainingSession;
@@ -14,15 +15,24 @@ pub struct RunConfig {
     pub max_epochs: usize,
     /// Evaluate every `eval_every` epochs (1 = every epoch).
     pub eval_every: usize,
-    /// Host threading configuration installed before the session runs.
-    /// `None` leaves the process-wide setting (from `AIBENCH_THREADS` or a
-    /// prior install) untouched. Thread count never changes results — the
-    /// kernels are deterministic by construction — only wall time.
+    /// The host thread count the session runs at, in an execution context
+    /// of its own (`None`: in the caller's, which is never changed). Thread
+    /// count never changes results — the kernels are deterministic by
+    /// construction — only wall time.
     pub parallel: Option<aibench_parallel::ParallelConfig>,
     /// Save a checkpoint every `checkpoint_every` epochs during resumable
     /// sessions (`0` disables checkpointing). Plain [`run_to_quality`]
     /// ignores this; see [`crate::ckpt::run_to_quality_resumable`].
     pub checkpoint_every: usize,
+}
+
+impl RunConfig {
+    /// The execution context a session of this config runs under: the
+    /// caller's, at `parallel`'s thread count when that is set.
+    pub(crate) fn exec(&self) -> Exec {
+        self.parallel
+            .map_or_else(Exec::current, |p| Exec::current().with_threads(p.threads))
+    }
 }
 
 impl Default for RunConfig {

@@ -40,6 +40,7 @@ use std::time::Instant;
 
 use aibench_ckpt::{latest_valid, CheckpointSink, CkptError, PartialRun};
 use aibench_models::Trainer;
+use aibench_parallel::Exec;
 
 use crate::ckpt::{restore_run, snapshot_run};
 use crate::registry::Benchmark;
@@ -57,6 +58,8 @@ pub struct TrainingSession<'a> {
     progress: PartialRun,
     resumed_from: Option<usize>,
     start: Instant,
+    /// The context the trainer is built, trained and evaluated in.
+    exec: Exec,
 }
 
 impl<'a> TrainingSession<'a> {
@@ -76,17 +79,14 @@ impl<'a> TrainingSession<'a> {
         Self::open(benchmark, seed, config, Some(sink))
     }
 
-    /// Where every sequential session starts: installs `config.parallel`
-    /// if set, starts the wall clock, and builds or restores the trainer.
+    /// Where every sequential session starts: resolves its execution
+    /// context, starts the wall clock, and builds or restores the trainer.
     fn open(
         benchmark: &'a Benchmark,
         seed: u64,
         config: &RunConfig,
         sink: Option<&dyn CheckpointSink>,
     ) -> Self {
-        if let Some(par) = config.parallel {
-            par.install();
-        }
         let mut session = TrainingSession {
             benchmark,
             seed,
@@ -95,10 +95,11 @@ impl<'a> TrainingSession<'a> {
             progress: PartialRun::fresh(),
             resumed_from: None,
             start: Instant::now(),
+            exec: config.exec(),
         };
         match sink {
             Some(sink) => session.resumed_from = session.unpark(sink),
-            None => session.trainer = Some(benchmark.build(seed)),
+            None => session.trainer = Some(session.exec.run(|| benchmark.build(seed))),
         }
         session
     }
@@ -139,6 +140,17 @@ impl<'a> TrainingSession<'a> {
         self.trainer.is_none()
     }
 
+    /// The context the session builds, restores, trains and evaluates in.
+    pub fn exec(&self) -> &Exec {
+        &self.exec
+    }
+
+    /// Runs the rest of the session in `exec` (a supervisor degrading it to
+    /// one thread). Results do not depend on the context, only wall time.
+    pub fn set_exec(&mut self, exec: Exec) {
+        self.exec = exec;
+    }
+
     /// The live trainer.
     ///
     /// # Panics
@@ -171,7 +183,8 @@ impl<'a> TrainingSession<'a> {
     /// Panics if the session is parked or [`finished`](Self::finished).
     pub fn train_next(&mut self) -> f32 {
         assert!(!self.finished(), "session is finished; no epochs left");
-        self.trainer_mut().train_epoch()
+        let exec = self.exec.clone();
+        exec.run(|| self.trainer_mut().train_epoch())
     }
 
     /// Commits `loss` as the next epoch's result and returns whether that
@@ -183,7 +196,8 @@ impl<'a> TrainingSession<'a> {
 
     /// Measures the trainer's current quality, recording nothing.
     pub fn evaluate(&mut self) -> f64 {
-        self.trainer_mut().evaluate()
+        let exec = self.exec.clone();
+        exec.run(|| self.trainer_mut().evaluate())
     }
 
     /// Records `quality` as the newest epoch's evaluation and checks it
@@ -264,12 +278,14 @@ impl<'a> TrainingSession<'a> {
     /// when none does. `skip_newest` treats the newest stored snapshot as
     /// unreadable. Returns the epoch restored from.
     pub fn rollback(&mut self, sink: &dyn CheckpointSink, skip_newest: bool) -> Option<usize> {
-        let restored = latest_valid(sink, skip_newest, |bytes| {
-            restore_run(self.benchmark, self.seed, &self.config, bytes)
+        let (epoch, (trainer, progress)) = self.exec.run(|| {
+            let restored = latest_valid(sink, skip_newest, |bytes| {
+                restore_run(self.benchmark, self.seed, &self.config, bytes)
+            });
+            let (epoch, run) = restored.unzip();
+            let scratch = || (self.benchmark.build(self.seed), PartialRun::fresh());
+            (epoch, run.unwrap_or_else(scratch))
         });
-        let (epoch, run) = restored.unzip();
-        let (trainer, progress) =
-            run.unwrap_or_else(|| (self.benchmark.build(self.seed), PartialRun::fresh()));
         self.trainer = Some(trainer);
         self.progress = progress;
         epoch

@@ -171,7 +171,7 @@ fn tree_fold_scalar(mut vals: Vec<f32>) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aibench_parallel::set_threads;
+    use aibench_parallel::Exec;
 
     fn shard(rank: usize, examples: usize, seed: u64, len: usize) -> GradShard {
         let mut rng = aibench_tensor::Rng::seed_from(seed);
@@ -198,11 +198,8 @@ mod tests {
             .map(|r| shard(r, 8 - r % 3, r as u64 + 1, 9000))
             .collect();
         let refs: Vec<&GradShard> = shards.iter().collect();
-        set_threads(1);
-        let (a, la) = tree_reduce(&refs);
-        set_threads(7);
-        let (b, lb) = tree_reduce(&refs);
-        set_threads(1);
+        let at = |t| Exec::current().with_threads(t).run(|| tree_reduce(&refs));
+        let ((a, la), (b, lb)) = (at(1), at(7));
         assert_eq!(la.to_bits(), lb.to_bits());
         assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
     }

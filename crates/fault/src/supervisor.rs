@@ -339,7 +339,8 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
                 Some(Tick::Recovering)
             }
             RecoveryAction::RollbackSerial { lr_factor } => {
-                aibench_parallel::set_threads(1);
+                let serial = self.session.exec().clone().with_threads(1);
+                self.session.set_exec(serial);
                 self.degraded_serial = true;
                 self.rollback(fault, lr_factor, true);
                 Some(Tick::Recovering)
@@ -476,22 +477,23 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
     /// Spends one supervision slot: one epoch attempt, including scheduled
     /// injections, sentinel checks, and at most one recovery action —
     /// one [`TrainingSession::step`], taken apart so each piece can be
-    /// guarded.
+    /// guarded. The slot runs in the session's execution context, which
+    /// is one thread wide once the session has degraded to serial; the
+    /// caller's context is left as it was.
     ///
     /// # Panics
     ///
     /// Panics if the session is parked.
     pub fn tick(&mut self) -> Tick {
+        let exec = self.session.exec().clone();
+        exec.run(|| self.spend_slot())
+    }
+
+    /// The body of [`tick`](Self::tick).
+    fn spend_slot(&mut self) -> Tick {
         if self.completed || self.session.finished() {
             self.completed = true;
             return Tick::Done;
-        }
-        // Once degraded, every slot runs serially. Degradation is
-        // per-session state reasserted each tick, so a scheduler
-        // interleaving many sessions can restore its ambient thread count
-        // between ticks without losing this session's degradation.
-        if self.degraded_serial {
-            aibench_parallel::set_threads(1);
         }
         let epoch = self.session.epochs_run() + 1;
         self.executed += 1;
@@ -757,17 +759,8 @@ pub fn supervised_run_with_sink(
 ) -> SupervisedRun {
     let mut session =
         SupervisedSession::new(benchmark, seed, *config, schedule.clone(), *sup, sink);
-    // Captured after `new` installs `config.parallel`, so degradation
-    // restores the session's own configuration, as before.
-    let prior_threads = aibench_parallel::threads();
     while !matches!(session.tick(), Tick::Done) {}
-    let run = session.into_run();
-    if run.degraded_serial {
-        // Graceful degradation is per-run; restore the ambient thread
-        // configuration for whoever runs next.
-        aibench_parallel::set_threads(prior_threads);
-    }
-    run
+    session.into_run()
 }
 
 #[cfg(test)]

@@ -47,4 +47,4 @@ pub use profile::{CategoryShare, MicroarchMetrics, ModelProfile, Simulator};
 
 // Re-exported so downstream crates can read [`ModelProfile::host_pool`]
 // without depending on `aibench-parallel` directly.
-pub use aibench_parallel::{ParallelConfig, PoolStats};
+pub use aibench_parallel::PoolStats;

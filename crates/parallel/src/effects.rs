@@ -19,13 +19,13 @@
 //!
 //! With the `sanitize` feature **disabled** every function here is an empty
 //! `#[inline]` stub and the tracker costs literally nothing. With the
-//! feature enabled but recording **off** (the default), the cost is two
-//! thread-local reads per region plus a thread-local push/pop per kernel
-//! scope. Recording is only ever turned on by an auditing harness, and it
-//! belongs to the thread that called [`start_recording`]: regions that
-//! thread opens (and regions nested in their chunks, on whichever worker
-//! runs them) are recorded; regions other threads open at the same time
-//! are not.
+//! feature enabled but recording **off** (the default), the cost is one
+//! thread-local read per region plus a thread-local push/pop per kernel
+//! scope. A recording belongs to an execution context:
+//! [`crate::Exec::record`] runs a closure under a context carrying a fresh
+//! recorder, and the regions opened under it (and regions nested in their
+//! chunks, on whichever worker runs them) are recorded; regions opened
+//! under any other context — another recording's included — are not.
 //!
 //! # Declaring a kernel's access set
 //!
@@ -47,6 +47,7 @@
 //! ```
 
 use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The kind of one declared buffer access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +134,7 @@ impl RegionEffects {
     }
 }
 
-/// Everything recorded between [`start_recording`] and [`take_report`].
+/// Everything one [`crate::Exec::record`] call recorded.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EffectReport {
     /// One entry per parallel region, in open order.
@@ -156,25 +157,41 @@ impl EffectReport {
     }
 }
 
+/// The report one recording fills, shared by every region it records.
+type Report = Arc<Mutex<EffectReport>>;
+
+/// The recording an [`crate::Exec`] carries, if any (without the
+/// `sanitize` feature nothing is ever recorded into one).
+pub(crate) type Recorder = Option<Report>;
+
+fn lock(report: &Mutex<EffectReport>) -> MutexGuard<'_, EffectReport> {
+    // Every update leaves the report valid, so a poisoned lock is not.
+    report.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Everything `recorder` has recorded so far, leaving it empty.
+pub(crate) fn drain(recorder: &Recorder) -> EffectReport {
+    recorder
+        .as_deref()
+        .map(|report| std::mem::take(&mut *lock(report)))
+        .unwrap_or_default()
+}
+
 #[cfg(feature = "sanitize")]
 mod imp {
-    use super::{Access, AccessKind, BufId, EffectReport, RegionEffects};
-    use std::cell::{Cell, RefCell};
+    use super::{lock, Access, AccessKind, BufId, RegionEffects, Report};
+    use std::cell::RefCell;
     use std::ops::Range;
-    use std::sync::Mutex;
+    use std::sync::Arc;
 
-    static RECORDER: Mutex<EffectReport> = Mutex::new(EffectReport {
-        regions: Vec::new(),
-    });
+    /// A recorded region: its report and its index there.
+    pub(crate) type Record = Option<(Report, usize)>;
 
     thread_local! {
-        /// Whether this thread called [`start_recording`] and has not yet
-        /// taken the report.
-        static RECORDING: Cell<bool> = const { Cell::new(false) };
-        /// `(region index, chunk index)` of the chunk the current thread is
-        /// executing, if any. Set by the parallel primitives around each
-        /// chunk call; saved/restored across nested regions.
-        static CURRENT: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+        /// The recorded region and chunk index of the chunk the current
+        /// thread is executing, if any. Set by the parallel primitives
+        /// around each chunk call; saved/restored across nested regions.
+        static CHUNK: RefCell<Option<(Report, usize, usize)>> = const { RefCell::new(None) };
         /// Kernel labels pushed by [`super::kernel_scope`] on this thread.
         static LABELS: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
     }
@@ -182,27 +199,6 @@ mod imp {
     /// See [the module docs](super) — `true` here.
     pub fn sanitize_compiled() -> bool {
         true
-    }
-
-    /// Whether the calling thread is recording.
-    #[inline]
-    pub fn recording() -> bool {
-        RECORDING.with(Cell::get)
-    }
-
-    /// Starts a recording session, discarding any prior unclaimed report.
-    pub fn start_recording() {
-        let mut rec = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-        rec.regions.clear();
-        RECORDING.with(|r| r.set(true));
-    }
-
-    /// Stops recording and returns everything captured since
-    /// [`start_recording`].
-    pub fn take_report() -> EffectReport {
-        RECORDING.with(|r| r.set(false));
-        let mut rec = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut *rec)
     }
 
     /// RAII guard popping a [`super::kernel_scope`] label on drop.
@@ -225,24 +221,33 @@ mod imp {
         KernelScope { _private: () }
     }
 
-    /// Opens a region record; `None` unless this thread is recording or
-    /// is inside a chunk of a recorded region (a nested region opened on a
-    /// pool worker belongs to the recording that owns its parent).
+    /// Opens a region record: in the recording that owns the chunk this
+    /// thread is executing (a nested region opened on a pool worker
+    /// belongs to its parent's recording), else in `recorder`, the
+    /// recording of the context the region opens under. `None` when
+    /// neither records.
     #[inline]
     pub(crate) fn open_region(
+        recorder: &super::Recorder,
         primitive: &'static str,
         n: usize,
         chunk: usize,
         threads: usize,
         engages: bool,
-    ) -> Option<usize> {
-        let parent = CURRENT.with(|c| c.get()).map(|(r, _)| r);
-        if parent.is_none() && !recording() {
-            return None;
-        }
-        let label = LABELS.with(|l| l.borrow().last().copied());
-        let mut rec = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-        let local = label.unwrap_or(primitive);
+    ) -> Record {
+        let parent = CHUNK.with(|c| {
+            c.borrow()
+                .as_ref()
+                .map(|(report, region, _)| (Arc::clone(report), *region))
+        });
+        let (report, parent) = match parent {
+            Some((report, region)) => (report, Some(region)),
+            None => (Arc::clone(recorder.as_ref()?), None),
+        };
+        let local = LABELS
+            .with(|l| l.borrow().last().copied())
+            .unwrap_or(primitive);
+        let mut rec = lock(&report);
         let kernel = match parent.and_then(|r| rec.regions.get(r)) {
             Some(p) => format!("{}/{}", p.kernel, local),
             None => local.to_string(),
@@ -257,40 +262,43 @@ mod imp {
             accesses: Vec::new(),
             rng_draws: 0,
         });
-        Some(rec.regions.len() - 1)
+        let index = rec.regions.len() - 1;
+        drop(rec);
+        Some((report, index))
     }
 
     /// Runs one chunk with the `(region, chunk)` context set, restoring the
     /// previous context afterwards (also on unwind, so a panicking kernel
     /// does not corrupt attribution for the rest of the session).
     #[inline]
-    pub(crate) fn in_chunk<R>(region: &Option<usize>, chunk: usize, f: impl FnOnce() -> R) -> R {
-        let Some(r) = *region else {
+    pub(crate) fn in_chunk<R>(record: &Record, chunk: usize, f: impl FnOnce() -> R) -> R {
+        let Some((report, region)) = record else {
             return f();
         };
-        struct Reset(Option<(usize, usize)>);
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                CURRENT.with(|c| c.set(self.0));
+        crate::exec::with_local(&CHUNK, Some((Arc::clone(report), *region, chunk)), f)
+    }
+
+    /// Applies `f` to the region record of the chunk this thread is
+    /// executing, if that chunk is recorded.
+    fn with_region(f: impl FnOnce(&mut RegionEffects, usize)) {
+        CHUNK.with(|c| {
+            if let Some((report, region, chunk)) = &*c.borrow() {
+                if let Some(r) = lock(report).regions.get_mut(*region) {
+                    f(r, *chunk);
+                }
             }
-        }
-        let _reset = Reset(CURRENT.with(|c| c.replace(Some((r, chunk)))));
-        f()
+        });
     }
 
     fn record(buffer: BufId, kind: AccessKind, range: Range<usize>) {
-        let Some((region, chunk)) = CURRENT.with(|c| c.get()) else {
-            return;
-        };
-        let mut rec = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(r) = rec.regions.get_mut(region) {
+        with_region(|r, chunk| {
             r.accesses.push(Access {
                 chunk,
                 buffer,
                 kind,
                 range,
-            });
-        }
+            })
+        });
     }
 
     /// Declares that the current chunk reads `buf[range]`. No-op outside a
@@ -327,41 +335,20 @@ mod imp {
     /// happens inside a recorded chunk. Called by `aibench-tensor`'s `Rng`.
     #[inline]
     pub fn note_rng_draw() {
-        let Some((region, _)) = CURRENT.with(|c| c.get()) else {
-            return;
-        };
-        let mut rec = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(r) = rec.regions.get_mut(region) {
-            r.rng_draws += 1;
-        }
+        with_region(|r, _| r.rng_draws += 1);
     }
 }
 
 #[cfg(not(feature = "sanitize"))]
 mod imp {
     //! Zero-cost stubs compiled when the `sanitize` feature is off.
-    use super::EffectReport;
     use std::ops::Range;
+
+    pub(crate) struct Record;
 
     /// See [the module docs](super) — `false` here.
     pub fn sanitize_compiled() -> bool {
         false
-    }
-
-    /// Always `false` without the `sanitize` feature.
-    #[inline(always)]
-    pub fn recording() -> bool {
-        false
-    }
-
-    /// No-op without the `sanitize` feature.
-    #[inline(always)]
-    pub fn start_recording() {}
-
-    /// Always empty without the `sanitize` feature.
-    #[inline(always)]
-    pub fn take_report() -> EffectReport {
-        EffectReport::default()
     }
 
     /// Zero-sized stand-in for the recording guard.
@@ -377,17 +364,18 @@ mod imp {
 
     #[inline(always)]
     pub(crate) fn open_region(
+        _recorder: &super::Recorder,
         _primitive: &'static str,
         _n: usize,
         _chunk: usize,
         _threads: usize,
         _engages: bool,
-    ) -> Option<usize> {
-        None
+    ) -> Record {
+        Record
     }
 
     #[inline(always)]
-    pub(crate) fn in_chunk<R>(_region: &Option<usize>, _chunk: usize, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn in_chunk<R>(_record: &Record, _chunk: usize, f: impl FnOnce() -> R) -> R {
         f()
     }
 
@@ -412,27 +400,17 @@ mod imp {
 }
 
 pub use imp::{
-    accumulate, kernel_scope, note_rng_draw, read, recording, sanitize_compiled, start_recording,
-    take_report, write, KernelScope,
+    accumulate, kernel_scope, note_rng_draw, read, sanitize_compiled, write, KernelScope,
 };
-pub(crate) use imp::{in_chunk, open_region, record_write_raw};
+pub(crate) use imp::{in_chunk, open_region, record_write_raw, Record};
 
 #[cfg(all(test, feature = "sanitize"))]
 mod tests {
     use super::*;
-    use crate::{parallel_reduce, parallel_slice_mut, set_threads};
-    // There is one report buffer and one pool per process, so recordings
-    // serialize with each other and with the crate-root tests' `set_threads`.
-    use crate::tests::LOCK;
+    use crate::{parallel_reduce, parallel_slice_mut, Exec};
 
     fn recorded<R>(threads: usize, f: impl FnOnce() -> R) -> (R, EffectReport) {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_threads(threads);
-        start_recording();
-        let r = f();
-        let report = take_report();
-        set_threads(1);
-        (r, report)
+        Exec::current().with_threads(threads).record(f)
     }
 
     #[test]
@@ -551,54 +529,13 @@ mod tests {
 
     #[test]
     fn recording_off_records_nothing() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_threads(2);
-        // No start_recording: primitives must not record.
+        let exec = Exec::current().with_threads(2);
+        // Regions opened by the context a recording is made from, but
+        // outside the recording, stay out of it.
         let mut data = vec![0.0f32; 64];
-        parallel_slice_mut(&mut data, 8, |_, out| out.fill(1.0));
-        start_recording();
-        let report = take_report();
-        set_threads(1);
+        exec.run(|| parallel_slice_mut(&mut data, 8, |_, out| out.fill(1.0)));
+        let ((), report) = exec.record(|| ());
         assert!(report.regions.is_empty());
-    }
-
-    #[test]
-    fn regions_of_other_threads_stay_out_of_the_report() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let stop = AtomicBool::new(false);
-        let (_, report) = recorded(2, || {
-            std::thread::scope(|s| {
-                // A sibling test training beside the audit: it opens regions
-                // on the same pool the whole time the recording is on.
-                s.spawn(|| {
-                    let _scope = kernel_scope("noise");
-                    let mut data = vec![0.0f32; 64];
-                    while !stop.load(Ordering::Relaxed) {
-                        parallel_slice_mut(&mut data, 8, |_, out| out.fill(1.0));
-                    }
-                });
-                let _scope = kernel_scope("recorded");
-                let mut data = vec![0.0f32; 64];
-                for _ in 0..200 {
-                    parallel_slice_mut(&mut data, 8, |_, out| {
-                        // Nested regions open on whichever worker runs the
-                        // chunk and still belong to this recording.
-                        let mut tmp = [0.0f32; 4];
-                        parallel_slice_mut(&mut tmp, 2, |_, t| t.fill(1.0));
-                        out.fill(tmp[0]);
-                    });
-                }
-                stop.store(true, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(report.regions.len(), 200 * (1 + 8));
-        assert!(
-            report
-                .regions
-                .iter()
-                .all(|r| r.kernel.starts_with("recorded")),
-            "a non-recording thread's regions leaked into the report"
-        );
     }
 
     #[test]

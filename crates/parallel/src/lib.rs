@@ -11,8 +11,9 @@
 //! run-to-run variation methodology (Section 5.4: CoV < 2% must measure the
 //! *benchmark*, not the host's scheduler).
 //!
-//! The worker pool is persistent: threads are spawned once (lazily, from
-//! `AIBENCH_THREADS` or the machine's available parallelism). Between
+//! A region runs on the pool of the calling thread's execution context
+//! ([`Exec`]). A pool is persistent: its threads are spawned once, and
+//! every context of one thread count shares one. Between
 //! regions a worker polls for the next job for some tens of microseconds
 //! and only then parks, so the per-region overhead of back-to-back regions
 //! is one atomic publish and one atomic join — a microsecond or two — and
@@ -57,40 +58,32 @@
 #![deny(unsafe_code)]
 
 pub mod effects;
+mod exec;
 mod pool;
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
+pub use exec::{gemm_path, Exec, GemmPath};
 pub use pool::{default_threads, in_parallel_region, ThreadPool};
 
-/// Thread-count configuration, plumbed through the runner and the benches
-/// so thread sweeps are explicit rather than environmental.
+/// Thread-count configuration, plumbed through the runner so a session's
+/// thread count is explicit rather than environmental.
 ///
 /// # Example
 ///
 /// ```
 /// use aibench_parallel::ParallelConfig;
-/// ParallelConfig::with_threads(1).install();
-/// assert_eq!(aibench_parallel::threads(), 1);
+/// assert_eq!(ParallelConfig::with_threads(0).threads, 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Number of participating threads (the caller plus `threads - 1`
-    /// pool workers); clamped to at least 1 on install.
+    /// pool workers); clamped to at least 1 where it is used.
     pub threads: usize,
 }
 
 impl ParallelConfig {
-    /// The environment's configuration: `AIBENCH_THREADS` if set to a
-    /// positive integer, otherwise the machine's available parallelism.
-    pub fn from_env() -> Self {
-        ParallelConfig {
-            threads: pool::default_threads(),
-        }
-    }
-
     /// An explicit thread count.
     pub fn with_threads(threads: usize) -> Self {
         ParallelConfig {
@@ -98,31 +91,20 @@ impl ParallelConfig {
         }
     }
 
-    /// Makes this configuration the process-wide one, replacing the worker
-    /// pool if the thread count changed. Results of all kernels built on
-    /// this crate are unaffected by construction; only wall time changes.
+    /// Makes this thread count the process default: that of every thread
+    /// that has entered no [`Exec`] scope (before the first install,
+    /// [`default_threads`]). Only wall time changes, never a result.
     pub fn install(self) {
-        pool::install_global(self.threads);
+        pool::set_default(self.threads);
     }
 }
 
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig::from_env()
-    }
-}
-
-/// Number of threads parallel regions currently run on.
+/// Number of threads regions run on in the calling thread's context.
 pub fn threads() -> usize {
-    pool::global_pool().threads()
+    Exec::current().threads()
 }
 
-/// Sets the process-wide thread count (see [`ParallelConfig::install`]).
-pub fn set_threads(threads: usize) {
-    ParallelConfig::with_threads(threads).install()
-}
-
-/// Utilization snapshot of the process-wide pool (see [`stats`]).
+/// Utilization snapshot of one pool (see [`stats`]).
 ///
 /// Counters are cumulative; subtract two snapshots (via [`PoolStats::delta`])
 /// to attribute work to one phase, e.g. one simulated model profile.
@@ -156,8 +138,8 @@ impl PoolStats {
     }
 
     /// Counter-wise difference `self - earlier`, for attributing pool work
-    /// to a phase. Worker vectors of different lengths (the pool was
-    /// reconfigured in between) are compared position-wise.
+    /// to a phase. Take both of one pool; snapshots of two pools are
+    /// compared position-wise.
     pub fn delta(&self, earlier: &PoolStats) -> PoolStats {
         PoolStats {
             threads: self.threads,
@@ -172,9 +154,10 @@ impl PoolStats {
     }
 }
 
-/// Snapshots the process-wide pool's cumulative utilization counters.
+/// Snapshots the cumulative utilization counters of the calling thread's
+/// pool, which every context of its thread count shares.
 pub fn stats() -> PoolStats {
-    let pool = pool::global_pool();
+    let pool = Exec::current().pool;
     PoolStats {
         threads: pool.threads(),
         regions: pool.counters.regions.load(Ordering::Relaxed),
@@ -212,9 +195,10 @@ fn engages(nchunks: usize, work: Option<u64>) -> bool {
 
 /// One parallel region over `0..n` in fixed `chunk`-sized pieces.
 struct Region {
-    pool: Arc<ThreadPool>,
+    /// The context the region opened under, which its chunks run in.
+    exec: Exec,
     /// The region's effect record, when a recording is on.
-    record: Option<usize>,
+    record: effects::Record,
     n: usize,
     chunk: usize,
     nchunks: usize,
@@ -233,11 +217,12 @@ impl Region {
         let chunk = chunk.max(1);
         let nchunks = n.div_ceil(chunk);
         let engages = engages(nchunks, work);
-        let pool = pool::global_pool();
-        let record = effects::open_region(primitive, n, chunk, pool.threads(), engages);
-        let on_pool = engages && pool.threads() > 1 && !in_parallel_region();
+        let exec = Exec::current();
+        let threads = exec.threads();
+        let record = effects::open_region(&exec.recorder, primitive, n, chunk, threads, engages);
+        let on_pool = engages && threads > 1 && !in_parallel_region();
         Some(Region {
-            pool,
+            exec,
             record,
             n,
             chunk,
@@ -262,23 +247,27 @@ impl Region {
             }
             return;
         }
-        let counters = &self.pool.counters;
+        let counters = &self.exec.pool.counters;
         counters.regions.fetch_add(1, Ordering::Relaxed);
         let next = AtomicUsize::new(0);
-        self.pool.broadcast(&|who| {
-            // One shared-counter update per participant, also on unwind.
-            let mut tally = Tally {
-                counter: &counters.per_worker[who],
-                completed: 0,
-            };
-            loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= self.nchunks {
-                    break;
+        // Every participant, pool workers included, runs its chunks in the
+        // caller's context.
+        self.exec.pool.broadcast(&|who| {
+            self.exec.run(|| {
+                // One shared-counter update per participant, also on unwind.
+                let mut tally = Tally {
+                    counter: &counters.per_worker[who],
+                    completed: 0,
+                };
+                loop {
+                    let c = next.fetch_add(1, Ordering::Relaxed);
+                    if c >= self.nchunks {
+                        break;
+                    }
+                    self.run_chunk(c, |range| f(c, range));
+                    tally.completed += 1;
                 }
-                self.run_chunk(c, |range| f(c, range));
-                tally.completed += 1;
-            }
+            })
         });
     }
 }
@@ -430,10 +419,9 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 ///
 /// // So float sums are bitwise reproducible at any thread count:
 /// let data: Vec<f32> = (0..50_000).map(|i| (i as f32).sin()).collect();
-/// let one = par::sum_f32(&data);
-/// par::set_threads(8);
-/// assert_eq!(par::sum_f32(&data).to_bits(), one.to_bits());
-/// par::set_threads(1);
+/// let one = par::Exec::current().with_threads(1).run(|| par::sum_f32(&data));
+/// let eight = par::Exec::current().with_threads(8).run(|| par::sum_f32(&data));
+/// assert_eq!(eight.to_bits(), one.to_bits());
 /// ```
 pub fn parallel_reduce<T: Send>(
     n: usize,
@@ -606,9 +594,8 @@ pub fn lane_sum_map_f32(data: &[f32], f: impl Fn(f32) -> f32) -> f32 {
 /// use aibench_parallel as par;
 /// let data = vec![0.5f32; 10_000];
 /// let reference = par::sum_f32(&data);
-/// par::set_threads(4);
-/// assert_eq!(par::sum_f32(&data).to_bits(), reference.to_bits());
-/// par::set_threads(1);
+/// let four = par::Exec::current().with_threads(4).run(|| par::sum_f32(&data));
+/// assert_eq!(four.to_bits(), reference.to_bits());
 /// ```
 pub fn sum_f32(data: &[f32]) -> f32 {
     parallel_reduce_weighted(
@@ -646,16 +633,9 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Tests mutate the global pool (and, in [`effects`], share the one
-    /// report buffer); serialize them.
-    pub(crate) static LOCK: Mutex<()> = Mutex::new(());
-
+    /// Runs `f` on a pool of `n` threads of its own, whose counters are `f`'s.
     fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_threads(n);
-        let r = f();
-        set_threads(1);
-        r
+        Exec::current().with_pool(ThreadPool::new(n)).run(f)
     }
 
     #[test]
@@ -741,6 +721,30 @@ mod tests {
             });
             assert_eq!(count.load(Ordering::Relaxed), 800);
         });
+    }
+
+    #[test]
+    fn workers_run_in_the_callers_context_and_scopes_end_on_unwind() {
+        let outside = threads();
+        let exec = Exec::current().with_gemm_path(GemmPath::Scalar);
+        let (caller, worker_ran) = (std::thread::current().id(), AtomicUsize::new(0));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            exec.with_threads(4).run(|| {
+                parallel_for(64, 1, |_| {
+                    assert_eq!((threads(), gemm_path()), (4, GemmPath::Scalar));
+                    if std::thread::current().id() != caller {
+                        worker_ran.store(1, Ordering::SeqCst);
+                    }
+                    // Hold the region open until a worker has run a chunk.
+                    while worker_ran.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                });
+                panic!("unwinds out of the scope");
+            })
+        }));
+        assert!(result.is_err());
+        assert_eq!((threads(), gemm_path()), (outside, GemmPath::Blocked));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The persistent worker pool and the global pool registry.
+//! The persistent worker pool and the registry of shared pools.
 //!
 //! One [`ThreadPool`] owns `threads - 1` parked worker threads (the caller
 //! of a parallel region is always participant 0, so a one-thread pool spawns
@@ -7,7 +7,7 @@
 //! crate root layer deterministic chunk scheduling on top of it.
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
@@ -17,25 +17,18 @@ thread_local! {
     /// Set while the current thread is executing inside a parallel region.
     /// Nested regions detect it and degrade to inline serial execution,
     /// which keeps the pool deadlock-free (a worker never waits on itself).
-    static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
+    static IN_PARALLEL_REGION: RefCell<bool> = const { RefCell::new(false) };
 }
 
 /// Whether the current thread is already inside a parallel region.
 pub fn in_parallel_region() -> bool {
-    IN_PARALLEL_REGION.with(|f| f.get())
+    IN_PARALLEL_REGION.with(|f| *f.borrow())
 }
 
-/// Runs `f` with the region marker set, restoring it afterwards (also on
-/// unwind, so a panicking task does not leave the marker stuck).
+/// Runs `f` with the region marker set (also cleared again on unwind, so a
+/// panicking task does not leave the marker stuck).
 fn with_region_marker<R>(f: impl FnOnce() -> R) -> R {
-    struct Reset(bool);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            IN_PARALLEL_REGION.with(|m| m.set(self.0));
-        }
-    }
-    let _reset = Reset(IN_PARALLEL_REGION.with(|m| m.replace(true)));
-    f()
+    crate::exec::with_local(&IN_PARALLEL_REGION, true, f)
 }
 
 /// The borrowed job closure of one broadcast, as the workers see it.
@@ -272,10 +265,11 @@ pub(crate) struct Counters {
 
 /// A persistent pool of `threads - 1` worker threads plus the caller.
 ///
-/// The pool is managed through the crate-level registry
-/// ([`crate::set_threads`], [`crate::threads`]); regions reach it through
-/// the crate's primitives only, which is what lets a worker that arrives
-/// late skip a region (see `broadcast`).
+/// Regions run on the pool of the calling thread's [`crate::Exec`]: one
+/// shared per thread count, or one built here and handed to
+/// [`crate::Exec::with_pool`]. They reach it through the crate's
+/// primitives only, which is what lets a worker that arrives late skip a
+/// region (see `broadcast`).
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -439,29 +433,47 @@ fn worker_loop(shared: &Shared, idx: usize) {
 }
 
 // ----------------------------------------------------------------------
-// Global pool registry
+// Shared pools and the process default
 // ----------------------------------------------------------------------
 
-static GLOBAL: RwLock<Option<Arc<ThreadPool>>> = RwLock::new(None);
-
-/// The process-wide pool, created on first use from [`default_threads`].
-pub(crate) fn global_pool() -> Arc<ThreadPool> {
-    if let Some(pool) = GLOBAL.read().unwrap_or_else(|e| e.into_inner()).as_ref() {
-        return Arc::clone(pool);
-    }
-    let mut slot = GLOBAL.write().unwrap_or_else(|e| e.into_inner());
-    Arc::clone(slot.get_or_insert_with(|| Arc::new(ThreadPool::new(default_threads()))))
+/// The shared pools, at most one per thread count and kept for the life of
+/// the process.
+struct Pools {
+    shared: Vec<Arc<ThreadPool>>,
+    /// The thread count of a thread that has entered no [`crate::Exec`]
+    /// scope: 0 until [`crate::ParallelConfig::install`] or first use.
+    default: usize,
 }
 
-/// Replaces the process-wide pool with one of `threads` participants.
-pub(crate) fn install_global(threads: usize) {
-    let threads = threads.max(1);
-    let mut slot = GLOBAL.write().unwrap_or_else(|e| e.into_inner());
-    if slot.as_ref().is_some_and(|p| p.threads() == threads) {
-        return;
+static POOLS: RwLock<Pools> = RwLock::new(Pools {
+    shared: Vec::new(),
+    default: 0,
+});
+
+/// The shared pool of `threads` participants, or of the default count. A
+/// failed spawn under the lock leaves `POOLS` valid: poisoning is ignored.
+pub(crate) fn shared_pool(threads: Option<usize>) -> Arc<ThreadPool> {
+    let find = |pools: &Pools| {
+        let t = threads.unwrap_or(pools.default);
+        pools.shared.iter().find(|p| p.threads() == t).cloned()
+    };
+    if let Some(pool) = find(&POOLS.read().unwrap_or_else(|e| e.into_inner())) {
+        return pool;
     }
-    // The old pool shuts down once every outstanding Arc is dropped.
-    *slot = Some(Arc::new(ThreadPool::new(threads)));
+    let mut pools = POOLS.write().unwrap_or_else(|e| e.into_inner());
+    if pools.default == 0 {
+        pools.default = default_threads();
+    }
+    find(&pools).unwrap_or_else(|| {
+        let pool = Arc::new(ThreadPool::new(threads.unwrap_or(pools.default)));
+        pools.shared.push(Arc::clone(&pool));
+        pool
+    })
+}
+
+/// Makes `threads` the default thread count.
+pub(crate) fn set_default(threads: usize) {
+    POOLS.write().unwrap_or_else(|e| e.into_inner()).default = threads.max(1);
 }
 
 /// The thread count requested by the environment: `AIBENCH_THREADS` if it

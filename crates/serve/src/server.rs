@@ -513,7 +513,6 @@ impl<'a> ServerCore<'a> {
     /// epoch slot on every running session (ascending id).
     pub fn step(&mut self) {
         self.schedule_tick();
-        let ambient_threads = aibench_parallel::threads();
         let ids: Vec<u64> = self.running.clone();
         for id in ids {
             let tick = self.tick;
@@ -522,12 +521,6 @@ impl<'a> ServerCore<'a> {
                 unreachable!("only active sessions run");
             };
             let outcome = session.tick();
-            if session.degraded_serial() {
-                // A degraded session pins itself to one thread each tick;
-                // restore the ambient configuration so its degradation
-                // never leaks into the sessions ticked after it.
-                aibench_parallel::set_threads(ambient_threads);
-            }
             // Stream any faults the tick surfaced before the tick's own
             // event, preserving detection order.
             for fault in &session.faults()[served.emitted_faults..] {
@@ -896,6 +889,36 @@ mod tests {
             .done
             .result
             .deterministic_eq(&solo.sessions[0].done.result));
+    }
+
+    /// A session that degrades to one thread does so in its own execution
+    /// context: the caller's thread count holds across every tick, and a
+    /// clean session ticked beside it keeps its solo bits.
+    #[test]
+    fn a_degraded_session_leaves_its_neighbors_and_the_caller_alone() {
+        let registry = Registry::aibench();
+        let calm = RunRequest::new("calm", PROBE, 2, 3);
+        let solo = run_trace(&registry, ServeConfig::default(), &[(0, calm.clone())]);
+        let panicking = FaultSchedule::new(6).inject(2, FaultKind::KernelPanic);
+        let faulty = RunRequest::new("faulty", PROBE, 1, 3).with_faults(panicking);
+        aibench_parallel::Exec::current().with_threads(4).run(|| {
+            let mut server = ServerCore::new(&registry, ServeConfig::default());
+            for request in [faulty, calm] {
+                server.submit(request).expect("accepted");
+            }
+            let mut done = Vec::new();
+            while !server.is_idle() {
+                server.step();
+                assert_eq!(aibench_parallel::threads(), 4, "tick {}", server.tick);
+                done.extend(server.drain_finished());
+            }
+            done.sort_by_key(|d| d.session);
+            assert!(done[0].fault_signature.contains("rollback-serial"));
+            assert_eq!(done[1].fault_signature, "clean");
+            assert!(done[1]
+                .result
+                .deterministic_eq(&solo.sessions[0].done.result));
+        });
     }
 
     #[test]

@@ -48,11 +48,9 @@
 
 use std::borrow::Cow;
 
-use aibench_parallel::effects;
+use aibench_parallel::{effects, gemm_path, GemmPath};
 
-use super::microkernel::{
-    gemm_flops, gemm_into, gemm_path, pack_strips, pack_tiles, sweep, GemmPath, Layout, Mat, NR,
-};
+use super::microkernel::{gemm_flops, gemm_into, pack_strips, pack_tiles, sweep, Layout, Mat, NR};
 use crate::walk::copy_strided;
 use crate::Tensor;
 

@@ -79,9 +79,7 @@
 //! own). The two copies therefore produce the same bits, which the
 //! in-module test asserts wherever AVX2 exists.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-use aibench_parallel::effects;
+use aibench_parallel::{effects, gemm_path, GemmPath};
 
 /// Microtile rows: the microkernel keeps `MR x NR` accumulators live.
 pub const MR: usize = 4;
@@ -99,48 +97,6 @@ pub const KC: usize = 256;
 /// not repay packing `B`. Size-derived only, so path selection never
 /// depends on the thread count.
 pub const PACK_THRESHOLD_FLOPS: usize = 24 * 1024;
-
-/// Which GEMM implementation `gemm_into` dispatches to.
-///
-/// The default, [`GemmPath::Blocked`], picks the packed microkernel for
-/// shapes above [`PACK_THRESHOLD_FLOPS`] and the in-place register-tiled
-/// kernel below it. [`GemmPath::Scalar`] forces the pre-microkernel 32x32
-/// tiled scalar kernel everywhere; the `aibench-perf` harness uses it to
-/// measure the microkernels' speedup against that baseline in one process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GemmPath {
-    /// Packed microkernel above the size threshold, in-place register
-    /// tiling below it.
-    Blocked,
-    /// Always the 32x32 tiled scalar kernel (the measurement baseline).
-    Scalar,
-}
-
-static GEMM_PATH: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the GEMM implementation process-wide.
-///
-/// Both paths produce bitwise-identical results (see the module docs), so
-/// this is purely a measurement aid: the perf harness flips it to time the
-/// scalar baseline against the microkernel in the same process. Not
-/// intended to be raced from concurrent threads.
-pub fn set_gemm_path(path: GemmPath) {
-    GEMM_PATH.store(
-        match path {
-            GemmPath::Blocked => 0,
-            GemmPath::Scalar => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The currently selected GEMM implementation (see [`set_gemm_path`]).
-pub fn gemm_path() -> GemmPath {
-    match GEMM_PATH.load(Ordering::Relaxed) {
-        1 => GemmPath::Scalar,
-        _ => GemmPath::Blocked,
-    }
-}
 
 /// Floating-point operations of one `[m,k] x [k,n]` product: the work
 /// estimate every GEMM-lowered kernel hands the pool (a multiply and an add
@@ -215,11 +171,11 @@ impl<'a> Mat<'a> {
 
 /// `out += a[m,k] * b[k,n]` over pre-zeroed (or pre-accumulated) `out`.
 ///
-/// Dispatches per [`gemm_path`]: the packed microkernel for large shapes,
-/// the in-place register-tiled kernel for small ones, and the scalar tiled
-/// baseline when forced. All paths are bitwise identical to the naive
-/// triple loop and to each other, for every `AIBENCH_THREADS` value and
-/// every operand [`Layout`].
+/// Dispatches per the context's [`GemmPath`]: the packed microkernel for
+/// large shapes, the in-place register-tiled kernel for small ones, and the
+/// scalar tiled baseline when forced. All paths are bitwise identical to
+/// the naive triple loop and to each other, for every `AIBENCH_THREADS`
+/// value and every operand [`Layout`].
 pub(crate) fn gemm_into(a: Mat, b: Mat, out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     if gemm_path() == GemmPath::Scalar {
@@ -1025,15 +981,6 @@ mod tests {
                 n,
             });
         }
-    }
-
-    #[test]
-    fn path_toggle_round_trips() {
-        assert_eq!(gemm_path(), GemmPath::Blocked);
-        set_gemm_path(GemmPath::Scalar);
-        assert_eq!(gemm_path(), GemmPath::Scalar);
-        set_gemm_path(GemmPath::Blocked);
-        assert_eq!(gemm_path(), GemmPath::Blocked);
     }
 
     #[test]

@@ -4,26 +4,16 @@
 //! packed, in-place register-tiled, scalar tiled — plus the conv2d
 //! lowerings and the lane-blocked reductions produce **bitwise
 //! identical** results to their naive references, at every thread count.
-//! Each kernel family is exercised in a single `#[test]` because the
-//! thread count and GEMM path are process-global; sweeping inside one test
-//! keeps the sweep race-free under the default parallel test runner.
+//! Each sweep point runs in an execution context of its own, so the tests
+//! run side by side under the default parallel test runner.
 
 mod conv_oracle;
 
-use std::sync::{Mutex, MutexGuard};
-
+use aibench_parallel::Exec;
 use aibench_tensor::ops::{self, Conv2dArgs, GemmPath, Layout};
 use aibench_tensor::{Rng, Tensor};
 
 const THREADS: &[usize] = &[1, 2, 3, 8];
-
-/// Serializes the tests in this file: thread count and GEMM path are
-/// process-global, and each test sweeps both.
-static GLOBALS: Mutex<()> = Mutex::new(());
-
-fn lock_globals() -> MutexGuard<'static, ()> {
-    GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn fill(seed: u64, len: usize) -> Vec<f32> {
     let mut rng = Rng::seed_from(seed);
@@ -37,13 +27,10 @@ fn bits(t: &Tensor) -> Vec<u32> {
 /// Runs `f` at every thread count and on both GEMM paths, asserting all
 /// results are bitwise identical to the first; returns that result.
 fn sweep(label: &str, f: impl Fn() -> Tensor) -> Tensor {
-    let base_threads = aibench_parallel::threads();
     let mut reference: Option<(Vec<u32>, Tensor)> = None;
     for &t in THREADS {
-        aibench_parallel::set_threads(t);
         for path in [GemmPath::Blocked, GemmPath::Scalar] {
-            ops::set_gemm_path(path);
-            let got = f();
+            let got = Exec::current().with_threads(t).with_gemm_path(path).run(&f);
             match &reference {
                 None => reference = Some((bits(&got), got)),
                 Some((want, _)) => assert_eq!(
@@ -54,8 +41,6 @@ fn sweep(label: &str, f: impl Fn() -> Tensor) -> Tensor {
             }
         }
     }
-    ops::set_gemm_path(GemmPath::Blocked);
-    aibench_parallel::set_threads(base_threads);
     reference.expect("sweep ran").1
 }
 
@@ -66,7 +51,6 @@ fn sweep(label: &str, f: impl Fn() -> Tensor) -> Tensor {
 /// exactly at the pool-engagement threshold (256 Ki flops).
 #[test]
 fn gemm_all_paths_match_naive_across_threads() {
-    let _g = lock_globals();
     let shapes: &[(usize, usize, usize)] = &[
         (0, 0, 0),
         (0, 5, 3),
@@ -111,7 +95,6 @@ fn gemm_all_paths_match_naive_across_threads() {
 /// naive product of the materialised matrices, bit for bit.
 #[test]
 fn gemm_transposed_operands_match_naive_across_threads() {
-    let _g = lock_globals();
     let shapes: &[(usize, usize, usize)] = &[
         (0, 4, 3),
         (3, 0, 5),
@@ -259,7 +242,6 @@ fn conv_operands(case: ConvCase) -> (Tensor, Tensor, Tensor, Conv2dArgs, String)
 /// naive loop nest at every thread count.
 #[test]
 fn conv2d_matches_naive_across_threads_and_algos() {
-    let _g = lock_globals();
     for &case in CONV_CASES {
         let (x, wt, _, args, label) = conv_operands(case);
         let got = sweep(&label, || ops::conv2d(&x, &wt, args));
@@ -274,7 +256,6 @@ fn conv2d_matches_naive_across_threads_and_algos() {
 /// `conv2d_backward_input` that skips `col2im`.
 #[test]
 fn conv2d_backward_kernels_are_path_and_thread_invariant() {
-    let _g = lock_globals();
     for &case in CONV_CASES {
         let (x, wt, g, args, label) = conv_operands(case);
         let (h, w, kh, kw) = (case.2, case.3, case.5, case.6);
@@ -295,8 +276,6 @@ fn conv2d_backward_kernels_are_path_and_thread_invariant() {
 /// and the last inline / first pool-engaged length, 262 143 / 262 144).
 #[test]
 fn reductions_are_bitwise_thread_invariant() {
-    let _g = lock_globals();
-    let base_threads = aibench_parallel::threads();
     for &len in &[
         0usize, 1, 7, 8, 9, 4095, 4096, 4097, 100_000, 262_143, 262_144,
     ] {
@@ -305,11 +284,11 @@ fn reductions_are_bitwise_thread_invariant() {
         let mut sums = Vec::new();
         let mut lane_sums = Vec::new();
         for &threads in THREADS {
-            aibench_parallel::set_threads(threads);
-            sums.push(t.sum().to_bits());
-            lane_sums.push(aibench_parallel::sum_f32(&data).to_bits());
+            Exec::current().with_threads(threads).run(|| {
+                sums.push(t.sum().to_bits());
+                lane_sums.push(aibench_parallel::sum_f32(&data).to_bits());
+            });
         }
-        aibench_parallel::set_threads(base_threads);
         assert!(
             sums.windows(2).all(|w| w[0] == w[1]),
             "Tensor::sum(len={len}) varies with thread count: {sums:?}"

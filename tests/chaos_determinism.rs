@@ -14,22 +14,14 @@
 //!   reconnects, resumes its event stream past the last seq it saw, and
 //!   receives the same final result bits as a client that was never
 //!   interrupted.
-//!
-//! Tests that reconfigure the process-wide pool serialize on a mutex and
-//! restore the environment's thread count afterwards (the same discipline
-//! as `tests/serve_determinism.rs`).
 
-use std::sync::Mutex;
 use std::time::Duration;
 
 use aibench::registry::Registry;
 use aibench_chaos::{run_soak, ChaosKind, ChaosSchedule, ChaosSite, SoakConfig};
-use aibench_parallel::ParallelConfig;
+use aibench_parallel::Exec;
 use aibench_serve::wire::{read_frame, write_frame, ClientMsg, ServerMsg};
 use aibench_serve::{run_trace, RunRequest, ServeConfig};
-
-/// Serializes pool reconfiguration across the test harness's threads.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 const PROBE: &str = "DC-AI-C15";
 
@@ -44,14 +36,13 @@ fn soak_requests() -> Vec<RunRequest> {
 
 #[test]
 fn fixed_chaos_seed_replays_identically_across_thread_counts() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Registry::aibench();
     let requests = soak_requests();
     let chaos = ChaosSchedule::seeded(33, 60, 14);
     let mut baseline = None;
     for threads in [1usize, 4, 8] {
-        ParallelConfig::with_threads(threads).install();
-        let report = run_soak(&registry, &requests, &chaos, SoakConfig::default());
+        let exec = Exec::current().with_threads(threads);
+        let report = exec.run(|| run_soak(&registry, &requests, &chaos, SoakConfig::default()));
         assert!(
             !report.chaos_log.is_empty(),
             "the seeded schedule must actually fire"
@@ -76,7 +67,6 @@ fn fixed_chaos_seed_replays_identically_across_thread_counts() {
             }
         }
     }
-    ParallelConfig::from_env().install();
 }
 
 #[test]

@@ -6,20 +6,15 @@
 //! coefficient of variation below 2% must measure the benchmark, never the
 //! host scheduler.
 //!
-//! Tests reconfigure the process-wide pool, so they serialize on a mutex
-//! and restore the environment's thread count afterwards.
-
-use std::sync::Mutex;
+//! Every sweep point runs in an execution context of its own, so the tests
+//! run side by side under the default parallel test runner.
 
 use aibench::registry::Registry;
 use aibench::runner::{run_to_quality, RunConfig};
 use aibench_autograd::Param;
 use aibench_nn::{Adam, Optimizer};
-use aibench_parallel::ParallelConfig;
+use aibench_parallel::{Exec, ParallelConfig, ThreadPool};
 use aibench_tensor::{ops, Rng, Tensor};
-
-/// Serializes pool reconfiguration across the test harness's threads.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 /// The thread counts swept by every test: serial, even, odd (so chunk
 /// boundaries never align with the worker count), and oversubscribed.
@@ -39,15 +34,16 @@ fn engagement_across_threads(what: &str, pool_regions: u64, f: impl Fn() -> Vec<
     sweep_threads(what, Some(pool_regions), f)
 }
 
+/// Each sweep point runs on a pool of its own, so the count is `f`'s alone.
 fn sweep_threads(what: &str, pool_regions: Option<u64>, f: impl Fn() -> Vec<f32>) {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut baseline: Option<Vec<u32>> = None;
     for &t in &SWEEP {
-        ParallelConfig::with_threads(t).install();
-        let before = aibench_parallel::stats();
-        let got: Vec<u32> = f().iter().map(|v| v.to_bits()).collect();
+        let (got, regions) = Exec::current().with_pool(ThreadPool::new(t)).run(|| {
+            let before = aibench_parallel::stats();
+            let got: Vec<u32> = f().iter().map(|v| v.to_bits()).collect();
+            (got, aibench_parallel::stats().delta(&before).regions)
+        });
         if let Some(pool_regions) = pool_regions {
-            let regions = aibench_parallel::stats().delta(&before).regions;
             let expect = if t == 1 { 0 } else { pool_regions };
             assert_eq!(regions, expect, "{what}: pool regions at {t} thread(s)");
         }
@@ -57,7 +53,6 @@ fn sweep_threads(what: &str, pool_regions: Option<u64>, f: impl Fn() -> Vec<f32>
             "{what}: {t}-thread result differs bitwise from serial"
         );
     }
-    ParallelConfig::from_env().install();
 }
 
 #[test]
@@ -85,8 +80,6 @@ fn transposed_operand_matmul_bitwise_identical_across_threads() {
     let at = a.t();
     let b = Tensor::randn(&[270, 45], &mut rng);
     let bt = b.t();
-    // Everything that may open a pool region runs inside the sweep, under
-    // its lock: the engagement test counts regions process-wide.
     for (what, lhs, lhs_layout, rhs, rhs_layout) in [
         ("matmul a^T", &at, Transposed, &b, RowMajor),
         ("matmul b^T", &a, RowMajor, &bt, Transposed),
@@ -224,42 +217,51 @@ fn engagement_threshold_is_shape_only_and_bitwise_neutral() {
 fn training_session_bitwise_identical_across_threads() {
     let registry = Registry::aibench();
     let bench = registry.get("DC-AI-C15").expect("spatial transformer");
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut baseline: Option<(Vec<u32>, u64)> = None;
-    for &t in &SWEEP {
-        let cfg = RunConfig {
-            max_epochs: 2,
-            eval_every: 1,
-            parallel: Some(ParallelConfig::with_threads(t)),
-            ..RunConfig::default()
-        };
-        let res = run_to_quality(bench, 3, &cfg);
-        let fingerprint = (
-            res.loss_trace.iter().map(|l| l.to_bits()).collect(),
-            res.final_quality.to_bits(),
-        );
-        match &baseline {
-            None => baseline = Some(fingerprint),
-            Some(expect) => assert_eq!(
-                expect, &fingerprint,
-                "{t}-thread training session diverged from serial"
-            ),
-        }
+    let cfg = |threads| RunConfig {
+        max_epochs: 2,
+        eval_every: 1,
+        parallel: Some(ParallelConfig::with_threads(threads)),
+        ..RunConfig::default()
+    };
+    let serial = &run_to_quality(bench, 3, &cfg(1));
+    for &t in &SWEEP[1..] {
+        let got = run_to_quality(bench, 3, &cfg(t));
+        assert!(serial.deterministic_eq(&got), "{t} threads diverged");
     }
-    ParallelConfig::from_env().install();
+    // A session's thread count is its own: it does not leak into its caller.
+    Exec::current().with_threads(1).run(|| {
+        assert_eq!(aibench_parallel::threads(), 1);
+        assert!(serial.deterministic_eq(&run_to_quality(bench, 3, &cfg(4))));
+        assert_eq!(aibench_parallel::threads(), 1, "the session leaked");
+    });
+    // Sessions at 1 and 4 threads at once, each in its own context.
+    std::thread::scope(|s| {
+        for t in [1, 4] {
+            s.spawn(move || {
+                let mut session = aibench::session::TrainingSession::fresh(bench, 3, &cfg(t));
+                assert_eq!(session.exec().threads(), t);
+                while !session.finished() {
+                    session.step();
+                }
+                assert!(
+                    serial.deterministic_eq(&session.result()),
+                    "{t} beside 1 or 4"
+                );
+            });
+        }
+    });
 }
 
 #[test]
 fn gradcheck_passes_under_four_threads() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    ParallelConfig::with_threads(4).install();
     let mut rng = Rng::seed_from(15);
     let x = Tensor::randn(&[2, 2, 5, 5], &mut rng);
     let w = Tensor::randn(&[3, 2, 3, 3], &mut rng);
-    aibench_autograd::check_gradients(&[x, w], 1e-2, 1e-2, |g, vars| {
-        let y = g.conv2d(vars[0], vars[1], ops::Conv2dArgs::new(1, 1));
-        let p = g.max_pool2d(y, 2, 2);
-        g.sum(p)
+    Exec::current().with_threads(4).run(|| {
+        aibench_autograd::check_gradients(&[x, w], 1e-2, 1e-2, |g, vars| {
+            let y = g.conv2d(vars[0], vars[1], ops::Conv2dArgs::new(1, 1));
+            let p = g.max_pool2d(y, 2, 2);
+            g.sum(p)
+        })
     });
-    ParallelConfig::from_env().install();
 }

@@ -10,12 +10,6 @@
 //!   quality target;
 //! * elastic join/leave at epoch boundaries resumes bitwise-identically
 //!   from a group snapshot after an interruption.
-//!
-//! Tests that reconfigure the process-wide pool serialize on a mutex and
-//! restore the environment's thread count afterwards (the same discipline
-//! as `tests/fault_recovery.rs`).
-
-use std::sync::Mutex;
 
 use aibench::distributed::run_distributed_to_quality;
 use aibench::registry::{Benchmark, Registry};
@@ -25,9 +19,6 @@ use aibench_dist::{
     run_data_parallel_resumable, DistConfig, DistFaultKind, DistSchedule, MembershipPlan, RunParams,
 };
 use aibench_parallel::ParallelConfig;
-
-/// Serializes pool reconfiguration across the test harness's threads.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 fn probe(registry: &Registry) -> &Benchmark {
     registry.get("DC-AI-C15").expect("spatial transformer")
@@ -43,7 +34,6 @@ fn cfg(max_epochs: usize) -> RunConfig {
 
 #[test]
 fn same_seed_and_world_is_bitwise_identical_across_thread_counts() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Registry::aibench();
     let b = probe(&registry);
     // Clean, and with a corrupt gradient shard quarantined out of the
@@ -77,7 +67,6 @@ fn same_seed_and_world_is_bitwise_identical_across_thread_counts() {
             }
         }
     }
-    ParallelConfig::from_env().install();
 }
 
 #[test]

@@ -6,13 +6,8 @@
 //! * injected NaNs trigger rollback recovery and the paper's minimum
 //!   subset still converges;
 //! * persistent faults end in quarantine, never in a hang.
-//!
-//! Tests that reconfigure the process-wide pool serialize on a mutex and
-//! restore the environment's thread count afterwards (the same discipline
-//! as `tests/determinism.rs`).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
 
 use aibench::registry::{Benchmark, Registry};
 use aibench::runner::{run_to_quality, RunConfig};
@@ -23,9 +18,6 @@ use aibench_fault::{
     RecoveryPolicy, SentinelConfig, SupervisorConfig, TrainFault,
 };
 use aibench_parallel::ParallelConfig;
-
-/// Serializes pool reconfiguration across the test harness's threads.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 /// The minimum subset Section 5.4's criteria recover: Image
 /// Classification, Object Detection, Learning-to-Rank.
@@ -111,7 +103,6 @@ fn same_schedule_reproduces_the_identical_run() {
 
 #[test]
 fn supervised_runs_are_bitwise_identical_across_thread_counts() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Registry::aibench();
     let b = registry.get("DC-AI-C15").unwrap();
     let schedule = FaultSchedule::new(5)
@@ -135,7 +126,6 @@ fn supervised_runs_are_bitwise_identical_across_thread_counts() {
             ),
         }
     }
-    ParallelConfig::from_env().install();
 }
 
 #[test]
@@ -213,7 +203,6 @@ fn persistent_faults_quarantine_within_the_watchdog_budget() {
 
 #[test]
 fn kernel_panic_degrades_to_serial_and_recovers() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Registry::aibench();
     let b = registry.get("DC-AI-C15").unwrap();
     let schedule = FaultSchedule::new(6).inject(2, FaultKind::KernelPanic);
@@ -221,6 +210,7 @@ fn kernel_panic_degrades_to_serial_and_recovers() {
         parallel: Some(ParallelConfig::with_threads(4)),
         ..cfg(40)
     };
+    let caller_threads = aibench_parallel::threads();
     let run = supervised_run(b, 2, &config, &schedule, &SupervisorConfig::default());
     assert!(run.degraded_serial, "kernel panic must degrade to 1 thread");
     assert!(run.outcome.reached_target(), "{}", run.outcome);
@@ -228,8 +218,8 @@ fn kernel_panic_degrades_to_serial_and_recovers() {
         .faults
         .iter()
         .any(|e| e.fault.kind() == "kernel-panic" && e.action.kind() == "rollback-serial"));
-    // Degradation restores the ambient thread setting afterwards.
-    ParallelConfig::from_env().install();
+    // Neither the session's count nor its degradation reaches the caller.
+    assert_eq!(aibench_parallel::threads(), caller_threads);
 }
 
 #[test]
@@ -304,7 +294,6 @@ fn seeded_schedules_replay_bit_for_bit() {
 /// to its designed [`aibench_fault::ActionTaken`].
 #[test]
 fn every_fault_kind_maps_to_its_recovery_action() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Registry::aibench();
     let b = registry.get("DC-AI-C15").unwrap();
     let mut covered: BTreeMap<&'static str, BTreeSet<&'static str>> = BTreeMap::new();
@@ -443,7 +432,6 @@ fn every_fault_kind_maps_to_its_recovery_action() {
             "kind `{kind}` recovered via {actions:?}, expected `{action}`"
         );
     }
-    ParallelConfig::from_env().install();
 }
 
 #[test]

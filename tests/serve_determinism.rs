@@ -16,20 +16,11 @@
 //! * a client that disconnects mid-progress-stream detaches only its own
 //!   delivery: the serve loop survives, the session completes, and a
 //!   concurrent client's stream and result bits are unaffected.
-//!
-//! Tests that reconfigure the process-wide pool serialize on a mutex and
-//! restore the environment's thread count afterwards (the same discipline
-//! as `tests/dist_determinism.rs`).
-
-use std::sync::Mutex;
 
 use aibench::registry::Registry;
 use aibench_fault::{FaultKind, FaultSchedule};
-use aibench_parallel::ParallelConfig;
+use aibench_parallel::Exec;
 use aibench_serve::{run_trace, Event, RunRequest, ServeConfig};
-
-/// Serializes pool reconfiguration across the test harness's threads.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 const PROBE: &str = "DC-AI-C15";
 
@@ -52,13 +43,12 @@ fn mixed_trace() -> Vec<(u64, RunRequest)> {
 
 #[test]
 fn fixed_trace_is_bitwise_identical_across_thread_counts() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Registry::aibench();
     let trace = mixed_trace();
     let mut baseline = None;
     for threads in [1usize, 4, 8] {
-        ParallelConfig::with_threads(threads).install();
-        let report = run_trace(&registry, ServeConfig::default(), &trace);
+        let exec = Exec::current().with_threads(threads);
+        let report = exec.run(|| run_trace(&registry, ServeConfig::default(), &trace));
         match &baseline {
             None => baseline = Some(report),
             Some(expect) => {
@@ -74,7 +64,6 @@ fn fixed_trace_is_bitwise_identical_across_thread_counts() {
             }
         }
     }
-    ParallelConfig::from_env().install();
 }
 
 /// Runs `code` solo, then inside a trace where a high-priority arrival
@@ -120,22 +109,18 @@ fn assert_preemption_is_bitwise_neutral(code: &str, max_epochs: usize) {
 
 #[test]
 fn preempted_cnn_session_is_bitwise_identical_to_uninterrupted() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for threads in [1usize, 4] {
-        ParallelConfig::with_threads(threads).install();
-        assert_preemption_is_bitwise_neutral("DC-AI-C1", 3);
+        let exec = Exec::current().with_threads(threads);
+        exec.run(|| assert_preemption_is_bitwise_neutral("DC-AI-C1", 3));
     }
-    ParallelConfig::from_env().install();
 }
 
 #[test]
 fn preempted_attention_session_is_bitwise_identical_to_uninterrupted() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for threads in [1usize, 4] {
-        ParallelConfig::with_threads(threads).install();
-        assert_preemption_is_bitwise_neutral("DC-AI-C14", 4);
+        let exec = Exec::current().with_threads(threads);
+        exec.run(|| assert_preemption_is_bitwise_neutral("DC-AI-C14", 4));
     }
-    ParallelConfig::from_env().install();
 }
 
 #[test]
