@@ -12,6 +12,61 @@ fn smooth_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
     Tensor::rand_uniform(&[rows, cols], 0.3, 1.7, &mut rng)
 }
 
+/// The loop `Graph::sum_axis`'s backward ran before it became row copies:
+/// the upstream gradient `g` repeated across the reduced axis, one element
+/// at a time.
+fn sum_axis_backward_ref(g: &Tensor, in_shape: &[usize], axis: usize) -> Tensor {
+    let outer: usize = in_shape[..axis].iter().product();
+    let mid = in_shape[axis];
+    let inner: usize = in_shape[axis + 1..].iter().product();
+    let mut gx = Tensor::zeros(in_shape);
+    for o in 0..outer {
+        for m in 0..mid {
+            for i in 0..inner {
+                gx.data_mut()[(o * mid + m) * inner + i] = g.data()[o * inner + i];
+            }
+        }
+    }
+    gx
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Ranks 1-4, every axis, extents 0 and 1 among them, and an upstream
+    // gradient holding signed zeros, NaN and infinities, which a copy must
+    // carry bit for bit.
+    #[test]
+    fn sum_axis_backward_matches_the_loop(dims in prop::collection::vec(0usize..10, 1..5),
+                                          seed in 0u64..500) {
+        const SPECIAL: [f32; 5] = [-0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for axis in 0..dims.len() {
+            let mut out_shape = dims.clone();
+            out_shape.remove(axis);
+            let mut rng = Rng::seed_from(seed ^ axis as u64);
+            let upstream = Tensor::from_fn(&out_shape, |i| {
+                SPECIAL.get(i % 8).copied().unwrap_or_else(|| rng.normal())
+            });
+            // d sum(sum_axis(x) * w) / d sum_axis(x) is `w` itself.
+            let p = Param::new("x", Tensor::zeros(&dims));
+            let mut g = Graph::new();
+            let x = g.param(&p);
+            let y = g.sum_axis(x, axis);
+            let w = g.input(upstream.clone());
+            let yw = g.mul(y, w);
+            let loss = g.sum(yw);
+            let got = g.backward_watching(loss, &[x]).remove(0);
+            let want = sum_axis_backward_ref(&upstream, &dims, axis);
+            prop_assert_eq!(got.shape(), want.shape());
+            prop_assert_eq!(bits(&got), bits(&want), "{:?} axis {}", dims, axis);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -191,17 +191,13 @@ impl Tensor {
             idx.len(),
             self.shape.len()
         );
-        let strides = row_major_strides(&self.shape);
         let mut flat = 0;
-        for (d, (&i, &s)) in idx.iter().zip(&strides).enumerate() {
+        for (d, (&i, &extent)) in idx.iter().zip(&self.shape).enumerate() {
             assert!(
-                i < self.shape[d],
-                "index {} out of bounds for dim {} of extent {}",
-                i,
-                d,
-                self.shape[d]
+                i < extent,
+                "index {i} out of bounds for dim {d} of extent {extent}"
             );
-            flat += i * s;
+            flat = flat * extent + i;
         }
         flat
     }
@@ -514,14 +510,18 @@ impl Tensor {
         if self.shape == target {
             return self.clone();
         }
-        let check = broadcast_shapes(target, &self.shape);
         assert_eq!(
-            check.as_deref(),
+            broadcast_shapes(target, &self.shape).as_deref(),
             Some(&self.shape[..]),
             "sum_to: {:?} is not a broadcast source of {:?}",
             target,
             self.shape
         );
+        self.fold_to(target)
+    }
+
+    /// `sum_to` without the equal-shape copy: every cell starts at `+0.0`.
+    fn fold_to(&self, target: &[usize]) -> Tensor {
         let st = broadcast_strides(target, &self.shape);
         let mut out = Tensor::zeros(target);
         // Rows arrive in ascending flat order, so every target element
@@ -593,7 +593,7 @@ impl Tensor {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// Sums along `axis`, removing it.
+    /// Sums along `axis`, removing it: a `sum_to` fold onto `axis` set to 1.
     ///
     /// # Panics
     ///
@@ -605,19 +605,10 @@ impl Tensor {
             axis,
             self.ndim()
         );
-        let mut out_shape = self.shape.clone();
-        out_shape.remove(axis);
-        let outer: usize = self.shape[..axis].iter().product();
-        let mid = self.shape[axis];
-        let inner: usize = self.shape[axis + 1..].iter().product();
-        let mut out = Tensor::zeros(&out_shape);
-        for o in 0..outer {
-            for m in 0..mid {
-                for i in 0..inner {
-                    out.data[o * inner + i] += self.data[(o * mid + m) * inner + i];
-                }
-            }
-        }
+        let mut keep = self.shape.clone();
+        keep[axis] = 1;
+        let mut out = self.fold_to(&keep);
+        out.shape.remove(axis);
         out
     }
 

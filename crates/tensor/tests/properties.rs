@@ -88,12 +88,73 @@ fn permute_ref(a: &Tensor, perm: &[usize]) -> Tensor {
     Tensor::from_vec(data, &out_shape)
 }
 
+/// The loop `Tensor::sum_axis` ran before it became a `sum_to` fold: each
+/// output cell starts at `+0.0` and adds its addends in ascending order
+/// along `axis`, loaded and stored once per addend.
+fn sum_axis_ref(a: &Tensor, axis: usize) -> Tensor {
+    let shape = a.shape();
+    let mut out_shape = shape.to_vec();
+    out_shape.remove(axis);
+    let outer: usize = shape[..axis].iter().product();
+    let mid = shape[axis];
+    let inner: usize = shape[axis + 1..].iter().product();
+    let mut out = Tensor::zeros(&out_shape);
+    for o in 0..outer {
+        for m in 0..mid {
+            for i in 0..inner {
+                out.data_mut()[o * inner + i] += a.data()[(o * mid + m) * inner + i];
+            }
+        }
+    }
+    out
+}
+
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// [`bits`], with every NaN read as the one canonical NaN. Rust leaves the
+/// sign and payload of a NaN that arithmetic produces unspecified: when both
+/// addends are NaN, x86 passes on the first operand's, and which operand of
+/// a commutative add comes first is the compiler's choice.
+fn bits_any_nan(t: &Tensor) -> Vec<u32> {
+    let canonical = |v: &f32| if v.is_nan() { f32::NAN } else { *v };
+    t.data().iter().map(|v| canonical(v).to_bits()).collect()
+}
+
 fn randn(shape: &[usize], seed: u64) -> Tensor {
     Tensor::randn(shape, &mut Rng::seed_from(seed))
+}
+
+/// Normal samples with about one in eight replaced by a value IEEE addition
+/// treats specially: signed zeros, NaN and the infinities.
+fn randn_with_specials(shape: &[usize], seed: u64) -> Tensor {
+    const SPECIAL: [f32; 5] = [-0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    let mut rng = Rng::seed_from(seed);
+    Tensor::from_fn(shape, |_| {
+        let v = rng.normal();
+        let pick = (rng.uniform() * (8 * SPECIAL.len()) as f32) as usize;
+        SPECIAL.get(pick).copied().unwrap_or(v)
+    })
+}
+
+/// `sum_axis` and `mean_axis` over every axis of `a` against the loop.
+fn assert_axis_sums_match_oracle(a: &Tensor) {
+    for axis in 0..a.ndim() {
+        let (got, want) = (a.sum_axis(axis), sum_axis_ref(a, axis));
+        let label = format!("sum_axis {:?} axis {axis}", a.shape());
+        assert_eq!(got.shape(), want.shape(), "{label}");
+        assert_eq!(bits_any_nan(&got), bits_any_nan(&want), "{label}");
+        let n = a.shape()[axis];
+        if n > 0 {
+            let (mean, want_mean) = (a.mean_axis(axis), want.scale(1.0 / n as f32));
+            assert_eq!(
+                bits_any_nan(&mean),
+                bits_any_nan(&want_mean),
+                "mean_{label}"
+            );
+        }
+    }
 }
 
 /// `dims` with every dimension whose `mask` bit is set collapsed to 1, then
@@ -175,6 +236,38 @@ fn walker_matches_the_decode_loops_on_named_shapes() {
     for &(r, c) in &[(1, 1), (1, 7), (7, 1), (31, 33), (32, 64), (65, 40), (0, 3)] {
         let a = randn(&[r, c], 400 + (r * c) as u64);
         assert_eq!(a.t(), permute_ref(&a, &[1, 0]), "t() of [{r},{c}]");
+    }
+}
+
+/// A row of `-0.0` sums to `+0.0`, along an extent-1 axis too (an
+/// equal-shape `sum_to` would have handed the `-0.0` back), and the axis
+/// sums of the serving and pooling shapes match the loop.
+#[test]
+fn axis_sums_match_the_loop_on_named_shapes() {
+    let shapes: &[&[usize]] = &[
+        &[1],
+        &[0],
+        &[3, 1],
+        &[1, 3],
+        &[2, 0, 3],
+        &[5, 1, 7],
+        &[2, 3, 1, 1],
+    ];
+    for shape in shapes {
+        let zeros = Tensor::full(shape, -0.0);
+        assert_axis_sums_match_oracle(&zeros);
+        for axis in 0..shape.len() {
+            assert!(
+                bits(&zeros.sum_axis(axis)).iter().all(|&b| b == 0),
+                "-0.0 rows of {shape:?} along axis {axis}"
+            );
+        }
+    }
+    for (i, shape) in [&[144, 16][..], &[32, 64, 16], &[3, 9, 17, 2]]
+        .iter()
+        .enumerate()
+    {
+        assert_axis_sums_match_oracle(&randn_with_specials(shape, 500 + i as u64));
     }
 }
 
@@ -373,11 +466,17 @@ proptest! {
                                        mask_a in 0usize..32, mask_b in 0usize..32,
                                        strip_a in 0usize..5, strip_b in 0usize..5,
                                        order in prop::collection::vec(0usize..5, 5),
-                                       seed in 0u64..1000) {
+                                       axis in 0usize..5, seed in 0u64..1000) {
         let a = broadcast_source(&dims, mask_a, strip_a);
         let b = broadcast_source(&dims, mask_b, strip_b);
         assert_zip_matches_oracle(&a, &b, seed);
         assert_sum_to_matches_oracle(&dims, &a, seed ^ 1);
+        // The keep-dim target of an axis sum: one axis set to 1.
+        if !dims.is_empty() {
+            let mut keep = dims.clone();
+            keep[axis % dims.len()] = 1;
+            assert_sum_to_matches_oracle(&dims, &keep, seed ^ 3);
+        }
         // A permutation of the axes: sort them by (sampled key, axis).
         let mut perm: Vec<usize> = (0..dims.len()).collect();
         perm.sort_by_key(|&d| (order[d], d));
@@ -385,5 +484,14 @@ proptest! {
         let (got, want) = (t.permute(&perm), permute_ref(&t, &perm));
         prop_assert_eq!(got.shape(), want.shape());
         prop_assert_eq!(bits(&got), bits(&want), "permute {:?} by {:?}", dims, perm);
+    }
+
+    // Ranks 1-4, every axis, extents 0 and 1 among them, rows mostly not a
+    // multiple of 8 long, and signed zeros, NaN and infinities among the
+    // values.
+    #[test]
+    fn axis_sums_match_the_loop(dims in prop::collection::vec(0usize..12, 1..5),
+                                seed in 0u64..1000) {
+        assert_axis_sums_match_oracle(&randn_with_specials(&dims, seed));
     }
 }
