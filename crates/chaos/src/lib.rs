@@ -17,8 +17,9 @@
 //! * [`schedule`] — [`ChaosSchedule`]: the pure-data, seeded injection
 //!   plan (same replay discipline as `FaultSchedule`).
 //! * [`log`] — [`ChaosEvent`] and [`chaos_signature`]: the replayable
-//!   witness of what actually fired, liftable into the suite-wide
-//!   [`TrainFault`](aibench_fault::TrainFault) taxonomy.
+//!   witness of what actually fired. It is this layer's own fault record;
+//!   what the hardening did about each injection shows in the
+//!   [`ChaosReport`] recovery counters.
 //! * [`soak`] — [`run_soak`]: the in-process client/server harness that
 //!   drives a real `ServerCore` through real wire bytes under chaos.
 //!
@@ -37,7 +38,7 @@ pub mod schedule;
 pub mod sink;
 pub mod soak;
 
-pub use log::{chaos_signature, lift_log, ChaosEvent};
+pub use log::{chaos_signature, ChaosEvent};
 pub use schedule::{ChaosInjection, ChaosKind, ChaosSchedule, ChaosSite};
 pub use sink::{ChaosSink, StoreChaos};
 pub use soak::{run_soak, ChaosReport, SoakConfig, SoakOutcome};

@@ -6,8 +6,7 @@
 //! `ChaosSchedule` produces the byte-identical log signature at any
 //! `AIBENCH_THREADS`.
 
-use crate::schedule::ChaosSite;
-use aibench_fault::{ActionTaken, FaultEvent, TrainFault};
+use crate::schedule::{ChaosKind, ChaosSite};
 
 /// One chaos injection that fired.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,65 +16,29 @@ pub struct ChaosEvent {
     /// The logical position it fired at (frame index, save-op index, or
     /// tick — see [`ChaosSite`]).
     pub at: u64,
-    /// The kind, rendered with parameters (`bit-flip:3`, `disk-full`, …).
-    pub kind: String,
+    /// What fired.
+    pub kind: ChaosKind,
     /// The session the injection hit, `0` when unattributable (e.g. a
     /// frame corrupted before it could be parsed).
     pub session: u64,
 }
 
 impl ChaosEvent {
-    /// Stable one-line signature: `site@at:kind:s<session>`.
+    /// Stable one-line signature: `site@at:kind:s<session>`, the kind
+    /// rendered with its parameters (`bit-flip:3`, `disk-full`, …).
     pub fn signature(&self) -> String {
         format!(
             "{}@{}:{}:s{}",
             self.site.code(),
             self.at,
-            self.kind,
+            self.kind.name(),
             self.session
         )
-    }
-
-    /// Lifts the chaos event into the suite-wide fault taxonomy, paired
-    /// with the action the transport/storage hardening took to absorb it.
-    /// Benign injections (duplicates, delays, stalls, slow writes) are
-    /// absorbed without a recovery action and lift to `None`.
-    pub fn lift(&self) -> Option<FaultEvent> {
-        let base = self.kind.split(':').next().unwrap_or("");
-        match base {
-            "bit-flip" | "truncate" | "short-write" => Some(FaultEvent {
-                fault: TrainFault::FrameCorrupt {
-                    epoch: self.at as usize,
-                    frame: self.at,
-                },
-                action: ActionTaken::Retransmitted { attempt: 1 },
-            }),
-            "reset" => Some(FaultEvent {
-                fault: TrainFault::ConnectionLost {
-                    epoch: self.at as usize,
-                    session: self.session,
-                },
-                action: ActionTaken::LeaseRedeemed { replayed: 0 },
-            }),
-            "torn-write" | "disk-full" | "bit-rot" => Some(FaultEvent {
-                fault: TrainFault::StoreCorrupt {
-                    epoch: self.at as usize,
-                    detail: self.kind.clone(),
-                },
-                action: ActionTaken::RolledBack {
-                    to_epoch: None,
-                    lr_factor: 1.0,
-                    serial: false,
-                },
-            }),
-            _ => None,
-        }
     }
 }
 
 /// Joins a chaos log into one `;`-separated signature string — the value
-/// the determinism lints and `tests/chaos_determinism.rs` pin across
-/// thread counts.
+/// `tests/chaos_determinism.rs` pins across thread counts.
 pub fn chaos_signature(log: &[ChaosEvent]) -> String {
     if log.is_empty() {
         return "calm".to_string();
@@ -86,21 +49,15 @@ pub fn chaos_signature(log: &[ChaosEvent]) -> String {
         .join(";")
 }
 
-/// Lifts a whole chaos log into taxonomy fault events, dropping the
-/// benign injections.
-pub fn lift_log(log: &[ChaosEvent]) -> Vec<FaultEvent> {
-    log.iter().filter_map(|e| e.lift()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn event(site: ChaosSite, at: u64, kind: &str, session: u64) -> ChaosEvent {
+    fn event(site: ChaosSite, at: u64, kind: ChaosKind, session: u64) -> ChaosEvent {
         ChaosEvent {
             site,
             at,
-            kind: kind.to_string(),
+            kind,
             session,
         }
     }
@@ -108,39 +65,18 @@ mod tests {
     #[test]
     fn signatures_are_stable_and_ordered() {
         let log = vec![
-            event(ChaosSite::ServerToClient, 3, "bit-flip:7", 2),
-            event(ChaosSite::Store, 1, "disk-full", 4),
+            event(
+                ChaosSite::ServerToClient,
+                3,
+                ChaosKind::BitFlip { bit: 7 },
+                2,
+            ),
+            event(ChaosSite::Store, 1, ChaosKind::DiskFull, 4),
         ];
         assert_eq!(
             chaos_signature(&log),
             "s2c@3:bit-flip:7:s2;store@1:disk-full:s4"
         );
         assert_eq!(chaos_signature(&[]), "calm");
-    }
-
-    #[test]
-    fn lifting_maps_chaos_onto_the_fault_taxonomy() {
-        let corrupt = event(ChaosSite::ClientToServer, 5, "bit-flip:9", 0);
-        let lifted = corrupt.lift().expect("frame corruption lifts");
-        assert_eq!(lifted.fault.kind(), "frame-corrupt");
-        assert_eq!(lifted.action.kind(), "retransmit");
-
-        let reset = event(ChaosSite::ServerToClient, 8, "reset", 3);
-        let lifted = reset.lift().expect("resets lift");
-        assert_eq!(lifted.fault.kind(), "connection-lost");
-        assert_eq!(lifted.action.kind(), "lease-resume");
-
-        let torn = event(ChaosSite::Store, 2, "torn-write:16", 1);
-        let lifted = torn.lift().expect("store chaos lifts");
-        assert_eq!(lifted.fault.kind(), "store-corrupt");
-        assert_eq!(lifted.action.kind(), "rollback");
-
-        let benign = event(ChaosSite::Server, 4, "tick-stall:2", 0);
-        assert!(benign.lift().is_none());
-        assert_eq!(
-            lift_log(&[corrupt, benign, torn]).len(),
-            2,
-            "benign injections drop out of the lifted log"
-        );
     }
 }

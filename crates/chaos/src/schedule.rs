@@ -3,7 +3,7 @@
 //! wall-clock time, so the same schedule replays the identical chaos at
 //! any thread count.
 //!
-//! The discipline mirrors `aibench_fault::FaultSchedule`: a schedule is
+//! The discipline mirrors `aibench-fault`'s `FaultSchedule`: a schedule is
 //! pure data, never mutated by a run; the chaos engine tracks which
 //! entries have fired in its own state.
 

@@ -103,7 +103,7 @@ impl<S: CheckpointSink> CheckpointSink for ChaosSink<S> {
                 chaos.log.push(ChaosEvent {
                     site: ChaosSite::Store,
                     at: op,
-                    kind: inj.kind.name(),
+                    kind: inj.kind,
                     session: self.session,
                 });
             }

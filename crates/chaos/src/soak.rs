@@ -137,12 +137,6 @@ impl ChaosReport {
             .collect()
     }
 
-    /// The chaos log lifted into the suite-wide fault taxonomy (benign
-    /// injections dropped).
-    pub fn lifted_faults(&self) -> Vec<aibench_fault::FaultEvent> {
-        crate::log::lift_log(&self.chaos_log)
-    }
-
     /// Whether two soaks are indistinguishable where determinism is
     /// promised: identical chaos logs, schedules, tick counts, recovery
     /// traffic, and bitwise-identical per-client results.
@@ -330,7 +324,7 @@ impl<'a> Soak<'a> {
             self.chaos_log.push(ChaosEvent {
                 site,
                 at: idx,
-                kind: kind.name(),
+                kind,
                 session: self.session_of(client),
             });
             match kind {
@@ -742,7 +736,7 @@ pub fn run_soak(
             soak.chaos_log.push(ChaosEvent {
                 site: ChaosSite::Server,
                 at: tick,
-                kind: kind.name(),
+                kind,
                 session: 0,
             });
             match kind {

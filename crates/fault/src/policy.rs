@@ -106,19 +106,6 @@ impl RecoveryPolicy {
             TrainFault::CheckpointIo { .. } => self.checkpoint_io,
             TrainFault::StalledProgress { .. } => self.stalled,
             TrainFault::BudgetExhausted { .. } => RecoveryAction::Quarantine,
-            // Distributed faults are recovered *inside* the data-parallel
-            // engine by its own `aibench_dist::DistPolicy`; one that still
-            // reaches a sequential supervisor is terminal.
-            TrainFault::StragglerDelay { .. }
-            | TrainFault::WorkerDropped { .. }
-            | TrainFault::CorruptGradShard { .. }
-            | TrainFault::LostContribution { .. } => RecoveryAction::Quarantine,
-            // Chaos faults are recovered by the transport and storage
-            // layers (retransmit, lease redemption, store rollback); one
-            // that reaches a sequential supervisor is terminal.
-            TrainFault::FrameCorrupt { .. }
-            | TrainFault::ConnectionLost { .. }
-            | TrainFault::StoreCorrupt { .. } => RecoveryAction::Quarantine,
         }
     }
 }

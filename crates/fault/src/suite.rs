@@ -9,7 +9,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use aibench::runner::RunConfig;
 use aibench::Registry;
-use aibench_ckpt::{CkptError, SnapshotFile, State};
 
 use crate::inject::panic_message;
 use crate::schedule::FaultSchedule;
@@ -59,37 +58,6 @@ pub struct SuiteEntry {
     pub wall_seconds: f64,
 }
 
-impl SuiteEntry {
-    /// Encodes the entry into a ckpt [`State`] (floats round-trip bitwise,
-    /// NaN included).
-    pub fn to_state(&self) -> State {
-        let mut state = State::new();
-        state.put_str("code", self.code.as_str());
-        self.outcome.put_state(&mut state, "");
-        state.put_usize("recoveries", self.recoveries);
-        state.put_usize("faults", self.faults);
-        state.put_usize("epochs_run", self.epochs_run);
-        state.put_usize("epochs_executed", self.epochs_executed);
-        state.put_f64("final_quality", self.final_quality);
-        state.put_f64("wall_seconds", self.wall_seconds);
-        state
-    }
-
-    /// Decodes an entry encoded by [`SuiteEntry::to_state`].
-    pub fn from_state(state: &State) -> Result<SuiteEntry, CkptError> {
-        Ok(SuiteEntry {
-            code: state.str("code")?.to_string(),
-            outcome: Outcome::take_state(state, "")?,
-            recoveries: state.usize("recoveries")?,
-            faults: state.usize("faults")?,
-            epochs_run: state.usize("epochs_run")?,
-            epochs_executed: state.usize("epochs_executed")?,
-            final_quality: state.f64("final_quality")?,
-            wall_seconds: state.f64("wall_seconds")?,
-        })
-    }
-}
-
 /// The suite supervisor's result: one entry per benchmark, in registry
 /// order.
 #[derive(Debug, Clone)]
@@ -119,44 +87,6 @@ impl SuiteReport {
             .iter()
             .filter(|e| e.outcome.kind() == kind)
             .count()
-    }
-
-    /// Serializes the report in the ckpt snapshot container (CRC-checked
-    /// sections, no serde): a `meta` section with the entry count, then one
-    /// section per entry in suite order. The encoding is deterministic —
-    /// the same report always produces the same bytes — and floats
-    /// round-trip bitwise, so a report survives the serving wire intact.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut file = SnapshotFile::new();
-        let mut meta = State::new();
-        meta.put_str("what", "aibench-suite-report");
-        meta.put_usize("entries", self.entries.len());
-        file.push("meta", meta);
-        for (i, entry) in self.entries.iter().enumerate() {
-            file.push(format!("entry-{i:06}"), entry.to_state());
-        }
-        file.to_bytes()
-    }
-
-    /// Decodes a report encoded by [`SuiteReport::to_bytes`]. Corruption
-    /// anywhere — container checksums, missing sections, mistyped keys —
-    /// surfaces as an error rather than a partial report.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SuiteReport, CkptError> {
-        let file = SnapshotFile::from_bytes(bytes)?;
-        let meta = file.section("meta")?;
-        if meta.str("what")? != "aibench-suite-report" {
-            return Err(CkptError::MetaMismatch {
-                what: "not a suite report".to_string(),
-            });
-        }
-        let count = meta.usize("entries")?;
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            entries.push(SuiteEntry::from_state(
-                file.section(&format!("entry-{i:06}"))?,
-            )?);
-        }
-        Ok(SuiteReport { entries })
     }
 
     /// Renders the report as an aligned text table.

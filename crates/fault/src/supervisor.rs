@@ -98,46 +98,6 @@ impl Outcome {
         matches!(self, Outcome::Converged | Outcome::Recovered { .. })
     }
 
-    /// Encodes the outcome into `state` under `prefix`, in the ckpt typed
-    /// byte format. A quarantining fault is embedded under a `fault`
-    /// sub-prefix.
-    pub fn put_state(&self, state: &mut aibench_ckpt::State, prefix: &str) {
-        use aibench_ckpt::key;
-        state.put_str(key(prefix, "outcome"), self.kind());
-        match self {
-            Outcome::Converged | Outcome::MissedTarget => {}
-            Outcome::Recovered { attempts } => {
-                state.put_usize(key(prefix, "attempts"), *attempts);
-            }
-            Outcome::Quarantined { fault } => {
-                fault.put_state(state, &key(prefix, "fault"));
-            }
-        }
-    }
-
-    /// Decodes an outcome encoded by [`Outcome::put_state`].
-    pub fn take_state(
-        state: &aibench_ckpt::State,
-        prefix: &str,
-    ) -> Result<Outcome, aibench_ckpt::CkptError> {
-        use aibench_ckpt::key;
-        Ok(match state.str(&key(prefix, "outcome"))? {
-            "converged" => Outcome::Converged,
-            "missed-target" => Outcome::MissedTarget,
-            "recovered" => Outcome::Recovered {
-                attempts: state.usize(&key(prefix, "attempts"))?,
-            },
-            "quarantined" => Outcome::Quarantined {
-                fault: TrainFault::take_state(state, &key(prefix, "fault"))?,
-            },
-            other => {
-                return Err(aibench_ckpt::CkptError::MetaMismatch {
-                    what: format!("unknown outcome `{other}`"),
-                })
-            }
-        })
-    }
-
     /// NaN-stable signature (`recovered:2`, `quarantined:kernel-panic`, …).
     pub fn signature(&self) -> String {
         match self {

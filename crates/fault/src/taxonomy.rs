@@ -82,71 +82,12 @@ pub enum TrainFault {
         /// The budget they exceeded.
         budget: usize,
     },
-    /// A data-parallel worker lagged the group by `ticks` of logical time
-    /// (distributed; see `aibench-dist`).
-    StragglerDelay {
-        /// Epoch the delay was detected at.
-        epoch: usize,
-        /// The lagging worker's id.
-        worker: u32,
-        /// Logical-time delay observed.
-        ticks: u64,
-    },
-    /// A data-parallel worker disappeared mid-epoch and never answered
-    /// again (distributed).
-    WorkerDropped {
-        /// Epoch the drop was detected at.
-        epoch: usize,
-        /// The dropped worker's id.
-        worker: u32,
-    },
-    /// A worker's gradient shard failed its CRC sentinel — corruption in
-    /// flight (distributed).
-    CorruptGradShard {
-        /// Epoch the corruption was detected at.
-        epoch: usize,
-        /// The worker whose shard was corrupted.
-        worker: u32,
-    },
-    /// A worker's all-reduce contribution never arrived (distributed).
-    LostContribution {
-        /// Epoch the loss was detected at.
-        epoch: usize,
-        /// The worker whose contribution was lost.
-        worker: u32,
-    },
-    /// A wire frame arrived damaged — bit-flipped, truncated, or cut by a
-    /// short write — and was rejected by the CRC-checked frame format
-    /// (serving; `epoch` carries the logical scheduler tick).
-    FrameCorrupt {
-        /// Logical scheduler tick of the detection.
-        epoch: usize,
-        /// Direction-global index of the damaged frame.
-        frame: u64,
-    },
-    /// A client's connection died mid-session — reset, or poisoned by an
-    /// undecodable frame (serving; `epoch` carries the logical tick).
-    ConnectionLost {
-        /// Logical scheduler tick the connection died at.
-        epoch: usize,
-        /// The session whose stream was cut.
-        session: u64,
-    },
-    /// A stored snapshot came back damaged — torn write or bit rot —
-    /// detected by validation at load time (serving/storage; `epoch`
-    /// carries the index of the chaotic store operation).
-    StoreCorrupt {
-        /// Index of the store operation that was corrupted.
-        epoch: usize,
-        /// What was done to the stored bytes.
-        detail: String,
-    },
 }
 
 impl TrainFault {
-    /// Every fault kind name, in taxonomy order — the coverage contract the
-    /// seeded check fixtures are validated against.
-    pub const KINDS: [&'static str; 15] = [
+    /// Every fault kind name, in taxonomy order — the coverage contract
+    /// `tests/fault_recovery.rs` fires one seeded scenario per kind against.
+    pub const KINDS: [&'static str; 8] = [
         "non-finite-loss",
         "loss-spike",
         "non-finite-param",
@@ -155,13 +96,6 @@ impl TrainFault {
         "checkpoint-io",
         "stalled-progress",
         "budget-exhausted",
-        "straggler-delay",
-        "worker-drop",
-        "corrupt-grad-shard",
-        "lost-contribution",
-        "frame-corrupt",
-        "connection-lost",
-        "store-corrupt",
     ];
 
     /// Stable kind name (one of [`TrainFault::KINDS`]).
@@ -175,181 +109,7 @@ impl TrainFault {
             TrainFault::CheckpointIo { .. } => "checkpoint-io",
             TrainFault::StalledProgress { .. } => "stalled-progress",
             TrainFault::BudgetExhausted { .. } => "budget-exhausted",
-            TrainFault::StragglerDelay { .. } => "straggler-delay",
-            TrainFault::WorkerDropped { .. } => "worker-drop",
-            TrainFault::CorruptGradShard { .. } => "corrupt-grad-shard",
-            TrainFault::LostContribution { .. } => "lost-contribution",
-            TrainFault::FrameCorrupt { .. } => "frame-corrupt",
-            TrainFault::ConnectionLost { .. } => "connection-lost",
-            TrainFault::StoreCorrupt { .. } => "store-corrupt",
         }
-    }
-
-    /// Encodes the fault into `state` under `prefix`, in the ckpt typed
-    /// byte format (the workspace has no serde). Float payloads round-trip
-    /// bitwise, NaN included — a serialized fault log is as deterministic
-    /// as the in-memory one.
-    pub fn put_state(&self, state: &mut aibench_ckpt::State, prefix: &str) {
-        use aibench_ckpt::key;
-        state.put_str(key(prefix, "kind"), self.kind());
-        match self {
-            TrainFault::NonFiniteLoss { epoch, loss } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_f32(key(prefix, "loss"), *loss);
-            }
-            TrainFault::LossSpike {
-                epoch,
-                loss,
-                baseline,
-            } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_f32(key(prefix, "loss"), *loss);
-                state.put_f32(key(prefix, "baseline"), *baseline);
-            }
-            TrainFault::NonFiniteParam { epoch, param } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_str(key(prefix, "param"), param.as_str());
-            }
-            TrainFault::ExplodingGradNorm { epoch, norm, limit } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_f32(key(prefix, "norm"), *norm);
-                state.put_f32(key(prefix, "limit"), *limit);
-            }
-            TrainFault::KernelPanic { epoch, message } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_str(key(prefix, "message"), message.as_str());
-            }
-            TrainFault::CheckpointIo { epoch, error } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_str(key(prefix, "error"), error.as_str());
-            }
-            TrainFault::StalledProgress {
-                epoch,
-                window,
-                best,
-            } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_usize(key(prefix, "window"), *window);
-                state.put_f64(key(prefix, "best"), *best);
-            }
-            TrainFault::BudgetExhausted { executed, budget } => {
-                state.put_usize(key(prefix, "executed"), *executed);
-                state.put_usize(key(prefix, "budget"), *budget);
-            }
-            TrainFault::StragglerDelay {
-                epoch,
-                worker,
-                ticks,
-            } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_u64(key(prefix, "worker"), u64::from(*worker));
-                state.put_u64(key(prefix, "ticks"), *ticks);
-            }
-            TrainFault::WorkerDropped { epoch, worker }
-            | TrainFault::CorruptGradShard { epoch, worker }
-            | TrainFault::LostContribution { epoch, worker } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_u64(key(prefix, "worker"), u64::from(*worker));
-            }
-            TrainFault::FrameCorrupt { epoch, frame } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_u64(key(prefix, "frame"), *frame);
-            }
-            TrainFault::ConnectionLost { epoch, session } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_u64(key(prefix, "session"), *session);
-            }
-            TrainFault::StoreCorrupt { epoch, detail } => {
-                state.put_usize(key(prefix, "epoch"), *epoch);
-                state.put_str(key(prefix, "detail"), detail.as_str());
-            }
-        }
-    }
-
-    /// Decodes a fault encoded by [`TrainFault::put_state`]. Unknown kinds
-    /// and missing or mistyped payload keys surface as errors.
-    pub fn take_state(
-        state: &aibench_ckpt::State,
-        prefix: &str,
-    ) -> Result<TrainFault, aibench_ckpt::CkptError> {
-        use aibench_ckpt::key;
-        let worker = |state: &aibench_ckpt::State| -> Result<u32, aibench_ckpt::CkptError> {
-            let w = state.u64(&key(prefix, "worker"))?;
-            u32::try_from(w).map_err(|_| aibench_ckpt::CkptError::MetaMismatch {
-                what: format!("worker id {w} exceeds u32"),
-            })
-        };
-        Ok(match state.str(&key(prefix, "kind"))? {
-            "non-finite-loss" => TrainFault::NonFiniteLoss {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                loss: state.f32(&key(prefix, "loss"))?,
-            },
-            "loss-spike" => TrainFault::LossSpike {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                loss: state.f32(&key(prefix, "loss"))?,
-                baseline: state.f32(&key(prefix, "baseline"))?,
-            },
-            "non-finite-param" => TrainFault::NonFiniteParam {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                param: state.str(&key(prefix, "param"))?.to_string(),
-            },
-            "exploding-grad-norm" => TrainFault::ExplodingGradNorm {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                norm: state.f32(&key(prefix, "norm"))?,
-                limit: state.f32(&key(prefix, "limit"))?,
-            },
-            "kernel-panic" => TrainFault::KernelPanic {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                message: state.str(&key(prefix, "message"))?.to_string(),
-            },
-            "checkpoint-io" => TrainFault::CheckpointIo {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                error: state.str(&key(prefix, "error"))?.to_string(),
-            },
-            "stalled-progress" => TrainFault::StalledProgress {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                window: state.usize(&key(prefix, "window"))?,
-                best: state.f64(&key(prefix, "best"))?,
-            },
-            "budget-exhausted" => TrainFault::BudgetExhausted {
-                executed: state.usize(&key(prefix, "executed"))?,
-                budget: state.usize(&key(prefix, "budget"))?,
-            },
-            "straggler-delay" => TrainFault::StragglerDelay {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                worker: worker(state)?,
-                ticks: state.u64(&key(prefix, "ticks"))?,
-            },
-            "worker-drop" => TrainFault::WorkerDropped {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                worker: worker(state)?,
-            },
-            "corrupt-grad-shard" => TrainFault::CorruptGradShard {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                worker: worker(state)?,
-            },
-            "lost-contribution" => TrainFault::LostContribution {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                worker: worker(state)?,
-            },
-            "frame-corrupt" => TrainFault::FrameCorrupt {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                frame: state.u64(&key(prefix, "frame"))?,
-            },
-            "connection-lost" => TrainFault::ConnectionLost {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                session: state.u64(&key(prefix, "session"))?,
-            },
-            "store-corrupt" => TrainFault::StoreCorrupt {
-                epoch: state.usize(&key(prefix, "epoch"))?,
-                detail: state.str(&key(prefix, "detail"))?.to_string(),
-            },
-            other => {
-                return Err(aibench_ckpt::CkptError::MetaMismatch {
-                    what: format!("unknown fault kind `{other}`"),
-                })
-            }
-        })
     }
 
     /// The logical epoch the fault was detected at.
@@ -361,14 +121,7 @@ impl TrainFault {
             | TrainFault::ExplodingGradNorm { epoch, .. }
             | TrainFault::KernelPanic { epoch, .. }
             | TrainFault::CheckpointIo { epoch, .. }
-            | TrainFault::StalledProgress { epoch, .. }
-            | TrainFault::StragglerDelay { epoch, .. }
-            | TrainFault::WorkerDropped { epoch, .. }
-            | TrainFault::CorruptGradShard { epoch, .. }
-            | TrainFault::LostContribution { epoch, .. }
-            | TrainFault::FrameCorrupt { epoch, .. }
-            | TrainFault::ConnectionLost { epoch, .. }
-            | TrainFault::StoreCorrupt { epoch, .. } => epoch,
+            | TrainFault::StalledProgress { epoch, .. } => epoch,
             TrainFault::BudgetExhausted { executed, .. } => executed,
         }
     }
@@ -413,34 +166,6 @@ impl fmt::Display for TrainFault {
                 f,
                 "watchdog: {executed} epochs executed against a budget of {budget}"
             ),
-            TrainFault::StragglerDelay {
-                epoch,
-                worker,
-                ticks,
-            } => write!(
-                f,
-                "epoch {epoch}: worker {worker} straggled by {ticks} ticks"
-            ),
-            TrainFault::WorkerDropped { epoch, worker } => {
-                write!(f, "epoch {epoch}: worker {worker} dropped mid-epoch")
-            }
-            TrainFault::CorruptGradShard { epoch, worker } => write!(
-                f,
-                "epoch {epoch}: worker {worker}'s gradient shard failed its CRC"
-            ),
-            TrainFault::LostContribution { epoch, worker } => write!(
-                f,
-                "epoch {epoch}: worker {worker}'s all-reduce contribution was lost"
-            ),
-            TrainFault::FrameCorrupt { epoch, frame } => {
-                write!(f, "tick {epoch}: wire frame {frame} rejected as corrupt")
-            }
-            TrainFault::ConnectionLost { epoch, session } => {
-                write!(f, "tick {epoch}: session {session}'s connection was lost")
-            }
-            TrainFault::StoreCorrupt { epoch, detail } => {
-                write!(f, "store op {epoch}: stored snapshot corrupted ({detail})")
-            }
         }
     }
 }
@@ -479,36 +204,6 @@ pub enum ActionTaken {
     AbandonedCheckpointing,
     /// The benchmark was quarantined — the supervisor stopped retrying.
     Quarantined,
-    /// A failed worker was removed from the data-parallel group and the
-    /// shards reassigned over the `world` survivors (distributed).
-    ExcludedAndResharded {
-        /// Group size after the exclusion.
-        world: usize,
-    },
-    /// One worker's gradient shard was dropped from the step's all-reduce
-    /// and the survivors reweighted; membership was untouched (distributed).
-    QuarantinedShard {
-        /// The worker whose shard was quarantined.
-        worker: u32,
-    },
-    /// A straggler's delay was accounted in logical time and the run
-    /// proceeded (distributed).
-    AbsorbedDelay {
-        /// Ticks of logical time absorbed.
-        ticks: u64,
-    },
-    /// The damaged or lost frame was retransmitted under exponential
-    /// backoff (serving).
-    Retransmitted {
-        /// 1-based retry attempt.
-        attempt: usize,
-    },
-    /// The disconnected session's lease was redeemed on reconnect: missed
-    /// progress was replayed and the buffered result delivered (serving).
-    LeaseRedeemed {
-        /// Progress events replayed from the lease buffer.
-        replayed: usize,
-    },
 }
 
 impl ActionTaken {
@@ -521,11 +216,6 @@ impl ActionTaken {
             ActionTaken::RetriedSave { .. } => "retry-save",
             ActionTaken::AbandonedCheckpointing => "abandon-ckpt",
             ActionTaken::Quarantined => "quarantine",
-            ActionTaken::ExcludedAndResharded { .. } => "exclude-reshard",
-            ActionTaken::QuarantinedShard { .. } => "shard-quarantine",
-            ActionTaken::AbsorbedDelay { .. } => "absorb-delay",
-            ActionTaken::Retransmitted { .. } => "retransmit",
-            ActionTaken::LeaseRedeemed { .. } => "lease-resume",
         }
     }
 }
@@ -557,21 +247,6 @@ impl fmt::Display for ActionTaken {
             } => write!(f, "save retry {attempt} scheduled for epoch {retry_epoch}"),
             ActionTaken::AbandonedCheckpointing => write!(f, "abandoned checkpointing"),
             ActionTaken::Quarantined => write!(f, "quarantined"),
-            ActionTaken::ExcludedAndResharded { world } => {
-                write!(f, "excluded worker, resharded over {world} survivors")
-            }
-            ActionTaken::QuarantinedShard { worker } => {
-                write!(f, "quarantined worker {worker}'s gradient shard")
-            }
-            ActionTaken::AbsorbedDelay { ticks } => {
-                write!(f, "absorbed {ticks} ticks of delay")
-            }
-            ActionTaken::Retransmitted { attempt } => {
-                write!(f, "retransmitted (attempt {attempt}, exponential backoff)")
-            }
-            ActionTaken::LeaseRedeemed { replayed } => {
-                write!(f, "lease redeemed, {replayed} event(s) replayed")
-            }
         }
     }
 }
@@ -586,52 +261,6 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
-    /// Lifts a distributed fault event (`aibench-dist`) into the suite-wide
-    /// taxonomy, so distributed and sequential fault logs share one report
-    /// format. A distributed rollback restores the *current epoch's
-    /// boundary* snapshot, i.e. the state at the end of `epoch - 1`.
-    pub fn from_dist(event: &aibench_dist::DistFaultEvent) -> FaultEvent {
-        let fault = match event.fault {
-            aibench_dist::DistFaultKind::StragglerDelay { ticks } => TrainFault::StragglerDelay {
-                epoch: event.epoch,
-                worker: event.worker,
-                ticks,
-            },
-            aibench_dist::DistFaultKind::WorkerDrop => TrainFault::WorkerDropped {
-                epoch: event.epoch,
-                worker: event.worker,
-            },
-            aibench_dist::DistFaultKind::CorruptGradShard => TrainFault::CorruptGradShard {
-                epoch: event.epoch,
-                worker: event.worker,
-            },
-            aibench_dist::DistFaultKind::LostContribution => TrainFault::LostContribution {
-                epoch: event.epoch,
-                worker: event.worker,
-            },
-        };
-        let action = match event.action {
-            aibench_dist::DistAction::ExcludeAndReshard => ActionTaken::ExcludedAndResharded {
-                world: event.world_after,
-            },
-            aibench_dist::DistAction::RollbackToSnapshot => ActionTaken::RolledBack {
-                to_epoch: Some(event.epoch.saturating_sub(1)),
-                lr_factor: 1.0,
-                serial: false,
-            },
-            aibench_dist::DistAction::QuarantineShard => ActionTaken::QuarantinedShard {
-                worker: event.worker,
-            },
-            aibench_dist::DistAction::AbsorbDelay => ActionTaken::AbsorbedDelay {
-                ticks: match event.fault {
-                    aibench_dist::DistFaultKind::StragglerDelay { ticks } => ticks,
-                    _ => 0,
-                },
-            },
-        };
-        FaultEvent { fault, action }
-    }
-
     /// Compact deterministic signature, e.g. `e4:non-finite-loss>rollback`.
     /// Float payloads are excluded, so the signature is total even over NaN.
     pub fn signature(&self) -> String {
@@ -692,70 +321,9 @@ mod tests {
                 executed: 99,
                 budget: 98,
             },
-            TrainFault::StragglerDelay {
-                epoch: 9,
-                worker: 2,
-                ticks: 7,
-            },
-            TrainFault::WorkerDropped {
-                epoch: 10,
-                worker: 1,
-            },
-            TrainFault::CorruptGradShard {
-                epoch: 11,
-                worker: 0,
-            },
-            TrainFault::LostContribution {
-                epoch: 12,
-                worker: 3,
-            },
-            TrainFault::FrameCorrupt {
-                epoch: 13,
-                frame: 7,
-            },
-            TrainFault::ConnectionLost {
-                epoch: 14,
-                session: 2,
-            },
-            TrainFault::StoreCorrupt {
-                epoch: 15,
-                detail: "torn".into(),
-            },
         ];
         let kinds: Vec<&str> = faults.iter().map(|f| f.kind()).collect();
         assert_eq!(kinds, TrainFault::KINDS);
-    }
-
-    #[test]
-    fn dist_events_lift_into_the_taxonomy() {
-        let ev = aibench_dist::DistFaultEvent {
-            epoch: 3,
-            step: 2,
-            worker: 1,
-            fault: aibench_dist::DistFaultKind::WorkerDrop,
-            action: aibench_dist::DistAction::ExcludeAndReshard,
-            world_after: 2,
-        };
-        let lifted = FaultEvent::from_dist(&ev);
-        assert_eq!(lifted.signature(), "e3:worker-drop>exclude-reshard");
-        let rb = aibench_dist::DistFaultEvent {
-            epoch: 4,
-            step: 1,
-            worker: 0,
-            fault: aibench_dist::DistFaultKind::LostContribution,
-            action: aibench_dist::DistAction::RollbackToSnapshot,
-            world_after: 3,
-        };
-        let lifted = FaultEvent::from_dist(&rb);
-        assert_eq!(lifted.signature(), "e4:lost-contribution>rollback");
-        assert_eq!(
-            lifted.action,
-            ActionTaken::RolledBack {
-                to_epoch: Some(3),
-                lr_factor: 1.0,
-                serial: false
-            }
-        );
     }
 
     #[test]

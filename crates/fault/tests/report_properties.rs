@@ -1,83 +1,10 @@
-//! Property tests for the serde-free result serialization: arbitrary
-//! `RunResult`s and `SuiteReport`s — non-finite floats included — round-trip
-//! bit-exactly through the ckpt typed byte format that results cross the
-//! serving wire in.
+//! Property test for the serde-free result serialization: arbitrary
+//! `RunResult`s — non-finite floats included — round-trip bit-exactly
+//! through the ckpt typed byte format that results cross the serving wire
+//! in.
 
 use aibench::runner::RunResult;
-use aibench_fault::{Outcome, SuiteEntry, SuiteReport, TrainFault};
 use proptest::prelude::*;
-
-/// A fault whose variant and payload are fully determined by the sampled
-/// inputs; `bits` doubles as the float payload so NaN and infinity patterns
-/// get exercised.
-fn fault_from(variant: usize, epoch: usize, bits: u64) -> TrainFault {
-    let f32p = f32::from_bits(bits as u32);
-    let f64p = f64::from_bits(bits);
-    match variant % 12 {
-        0 => TrainFault::NonFiniteLoss { epoch, loss: f32p },
-        1 => TrainFault::LossSpike {
-            epoch,
-            loss: f32p,
-            baseline: f32::from_bits((bits >> 32) as u32),
-        },
-        2 => TrainFault::NonFiniteParam {
-            epoch,
-            param: format!("w{bits}"),
-        },
-        3 => TrainFault::ExplodingGradNorm {
-            epoch,
-            norm: f32p,
-            limit: 1e8,
-        },
-        4 => TrainFault::KernelPanic {
-            epoch,
-            message: format!("boom {bits}"),
-        },
-        5 => TrainFault::CheckpointIo {
-            epoch,
-            error: format!("disk {bits}"),
-        },
-        6 => TrainFault::StalledProgress {
-            epoch,
-            window: variant + 1,
-            best: f64p,
-        },
-        7 => TrainFault::BudgetExhausted {
-            executed: epoch,
-            budget: epoch.saturating_sub(1),
-        },
-        8 => TrainFault::StragglerDelay {
-            epoch,
-            worker: variant as u32,
-            ticks: bits,
-        },
-        9 => TrainFault::WorkerDropped {
-            epoch,
-            worker: variant as u32,
-        },
-        10 => TrainFault::CorruptGradShard {
-            epoch,
-            worker: variant as u32,
-        },
-        _ => TrainFault::LostContribution {
-            epoch,
-            worker: variant as u32,
-        },
-    }
-}
-
-fn outcome_from(variant: usize, epoch: usize, bits: u64) -> Outcome {
-    match variant % 4 {
-        0 => Outcome::Converged,
-        1 => Outcome::Recovered {
-            attempts: variant + 1,
-        },
-        2 => Outcome::MissedTarget,
-        _ => Outcome::Quarantined {
-            fault: fault_from(variant / 4, epoch, bits),
-        },
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -114,71 +41,5 @@ proptest! {
         // round-trip exactly.
         prop_assert_eq!(back.wall_seconds.to_bits(), result.wall_seconds.to_bits());
         prop_assert_eq!(back.resumed_from, result.resumed_from);
-    }
-
-    // Any suite report — every outcome and fault variant reachable, NaN
-    // payloads included — round-trips through its snapshot container, and
-    // re-encoding reproduces the exact bytes (deterministic encoding).
-    #[test]
-    fn suite_report_round_trips_bit_exact(
-        variants in prop::collection::vec(0usize..48, 0..8),
-        bit_seed in 0u64..u64::MAX,
-    ) {
-        let entries: Vec<SuiteEntry> = variants
-            .iter()
-            .enumerate()
-            .map(|(i, &variant)| {
-                let epoch = variant % 59 + 1;
-                let bits = bit_seed.wrapping_mul(i as u64 + 1).rotate_left(variant as u32);
-                SuiteEntry {
-                code: format!("DC-AI-C{}", i + 1),
-                outcome: outcome_from(variant, epoch, bits),
-                recoveries: variant % 9,
-                faults: variant % 5,
-                epochs_run: epoch,
-                epochs_executed: epoch + variant % 7,
-                final_quality: f64::from_bits(bits),
-                wall_seconds: epoch as f64 * 0.125,
-                }
-            })
-            .collect();
-        let report = SuiteReport { entries };
-        let bytes = report.to_bytes();
-        let back = SuiteReport::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back.entries.len(), report.entries.len());
-        for (a, b) in back.entries.iter().zip(&report.entries) {
-            prop_assert_eq!(&a.code, &b.code);
-            prop_assert_eq!(a.outcome.signature(), b.outcome.signature());
-            prop_assert_eq!(a.recoveries, b.recoveries);
-            prop_assert_eq!(a.faults, b.faults);
-            prop_assert_eq!(a.epochs_run, b.epochs_run);
-            prop_assert_eq!(a.epochs_executed, b.epochs_executed);
-            prop_assert_eq!(a.final_quality.to_bits(), b.final_quality.to_bits());
-            prop_assert_eq!(a.wall_seconds.to_bits(), b.wall_seconds.to_bits());
-        }
-        prop_assert_eq!(back.to_bytes(), bytes);
-    }
-
-    // Corrupting the container is detected, never decoded into a report.
-    #[test]
-    fn flipped_byte_never_decodes(flip in 0usize..256, xor in 1u32..256) {
-        let report = SuiteReport {
-            entries: vec![SuiteEntry {
-                code: "DC-AI-C15".to_string(),
-                outcome: Outcome::Quarantined {
-                    fault: TrainFault::NonFiniteLoss { epoch: 3, loss: f32::NAN },
-                },
-                recoveries: 2,
-                faults: 3,
-                epochs_run: 7,
-                epochs_executed: 11,
-                final_quality: 0.5,
-                wall_seconds: 1.0,
-            }],
-        };
-        let mut bytes = report.to_bytes();
-        let idx = flip % bytes.len();
-        bytes[idx] ^= xor as u8;
-        prop_assert!(SuiteReport::from_bytes(&bytes).is_err());
     }
 }

@@ -586,6 +586,7 @@ impl<'a> ServerCore<'a> {
         });
         let queue_wait_ticks =
             served.first_admit.expect("finished implies admitted") - served.arrived;
+        let fault_signature = run.fault_signature();
         let mut result = run.result;
         // The session's own clock started at first admission; the tenant
         // experienced the queue wait too, so report end-to-end wall time.
@@ -593,15 +594,7 @@ impl<'a> ServerCore<'a> {
         self.finished.push(DoneMsg {
             session: id,
             outcome_signature: run.outcome.signature(),
-            fault_signature: if run.faults.is_empty() {
-                "clean".to_string()
-            } else {
-                run.faults
-                    .iter()
-                    .map(|f| f.signature())
-                    .collect::<Vec<_>>()
-                    .join(";")
-            },
+            fault_signature,
             result,
             queue_wait_ticks,
             epochs_executed: run.epochs_executed,

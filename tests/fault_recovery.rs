@@ -11,6 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use aibench::registry::{Benchmark, Registry};
 use aibench::runner::{run_to_quality, RunConfig};
+use aibench_chaos::{run_soak, ChaosKind, ChaosSchedule, ChaosSite, SoakConfig};
 use aibench_ckpt::{FailingSink, MemorySink};
 use aibench_dist::{run_data_parallel, DistConfig, DistFaultKind, DistSchedule, RunParams};
 use aibench_fault::{
@@ -18,6 +19,7 @@ use aibench_fault::{
     RecoveryPolicy, SentinelConfig, SupervisorConfig, TrainFault,
 };
 use aibench_parallel::ParallelConfig;
+use aibench_serve::RunRequest;
 
 /// The minimum subset Section 5.4's criteria recover: Image
 /// Classification, Object Detection, Learning-to-Rank.
@@ -288,10 +290,12 @@ fn seeded_schedules_replay_bit_for_bit() {
     }
 }
 
-/// Every [`TrainFault`] kind — the sequential eight, the four distributed
-/// ones, and the three transport/storage kinds the chaos layer lifts —
-/// must be exercised by at least one seeded scenario, and each must map
-/// to its designed [`aibench_fault::ActionTaken`].
+/// Each layer's faults, checked against the record that layer keeps: every
+/// [`TrainFault`] kind fires from a seeded scenario and maps to its designed
+/// [`aibench_fault::ActionTaken`]; the data-parallel engine's four kinds
+/// land in its own fault log with their recoveries; and the chaos soak's
+/// wire and store injections land in its chaos log and cost recovery
+/// traffic, never result bits.
 #[test]
 fn every_fault_kind_maps_to_its_recovery_action() {
     let registry = Registry::aibench();
@@ -347,8 +351,33 @@ fn every_fault_kind_maps_to_its_recovery_action() {
     };
     absorb(&supervised_run(b, 2, &cfg(3), &persistent, &budget_sup).faults);
 
-    // The four distributed kinds, one two-worker session, lifted into the
-    // shared taxonomy via `FaultEvent::from_dist`.
+    let expected: &[(&str, &str)] = &[
+        ("non-finite-loss", "rollback"),
+        ("loss-spike", "rollback"),
+        ("non-finite-param", "rollback"),
+        ("exploding-grad-norm", "sanitize"),
+        ("kernel-panic", "rollback-serial"),
+        ("checkpoint-io", "retry-save"),
+        ("stalled-progress", "quarantine"),
+        ("budget-exhausted", "quarantine"),
+    ];
+    assert_eq!(expected.len(), TrainFault::KINDS.len());
+    for kind in TrainFault::KINDS {
+        let (_, action) = expected
+            .iter()
+            .find(|(k, _)| k == &kind)
+            .unwrap_or_else(|| panic!("no expectation for kind `{kind}`"));
+        let actions = covered
+            .get(kind)
+            .unwrap_or_else(|| panic!("kind `{kind}` never fired in any seeded scenario"));
+        assert!(
+            actions.contains(action),
+            "kind `{kind}` recovered via {actions:?}, expected `{action}`"
+        );
+    }
+
+    // The four distributed kinds, one two-worker session, in the engine's
+    // own fault log.
     let factory = |s: u64| {
         b.build_data_parallel(s)
             .expect("DC-AI-C15 is data-parallel")
@@ -367,69 +396,54 @@ fn every_fault_kind_maps_to_its_recovery_action() {
         snapshot_every: 0,
     };
     let group = run_data_parallel(&factory, 2, &|_| false, &params, &dist);
-    let lifted: Vec<FaultEvent> = group.faults.iter().map(FaultEvent::from_dist).collect();
-    absorb(&lifted);
-
-    // The three transport/storage kinds, fired through one chaos soak:
-    // a corrupt inbound frame (retransmitted), a mid-stream connection
-    // reset (lease-resumed), and a torn checkpoint write (rolled back on
-    // the load path). The soak's chaos log lifts into the same taxonomy.
-    let chaos = aibench_chaos::ChaosSchedule::new(21)
-        .inject(
-            aibench_chaos::ChaosSite::ClientToServer,
-            1,
-            aibench_chaos::ChaosKind::BitFlip { bit: 65 },
-        )
-        .inject(
-            aibench_chaos::ChaosSite::ServerToClient,
-            4,
-            aibench_chaos::ChaosKind::Reset,
-        )
-        .inject(
-            aibench_chaos::ChaosSite::Store,
-            0,
-            aibench_chaos::ChaosKind::TornWrite { keep: 8 },
-        );
-    let soak = aibench_chaos::run_soak(
-        &registry,
-        &[
-            aibench_serve::RunRequest::new("acme", "DC-AI-C15", 1, 3),
-            aibench_serve::RunRequest::new("zeta", "DC-AI-C15", 2, 3),
-        ],
-        &chaos,
-        aibench_chaos::SoakConfig::default(),
+    assert_eq!(
+        group.fault_signatures(),
+        [
+            "e1s1w0:straggler-delay>absorb-delay",
+            "e1s2w1:corrupt-grad-shard>shard-quarantine",
+            "e2s1w1:lost-contribution>rollback",
+            "e2s2w1:worker-drop>exclude-reshard",
+        ]
     );
-    absorb(&soak.lifted_faults());
 
-    let expected: &[(&str, &str)] = &[
-        ("non-finite-loss", "rollback"),
-        ("loss-spike", "rollback"),
-        ("non-finite-param", "rollback"),
-        ("exploding-grad-norm", "sanitize"),
-        ("kernel-panic", "rollback-serial"),
-        ("checkpoint-io", "retry-save"),
-        ("stalled-progress", "quarantine"),
-        ("budget-exhausted", "quarantine"),
-        ("straggler-delay", "absorb-delay"),
-        ("worker-drop", "exclude-reshard"),
-        ("corrupt-grad-shard", "shard-quarantine"),
-        ("lost-contribution", "rollback"),
-        ("frame-corrupt", "retransmit"),
-        ("connection-lost", "lease-resume"),
-        ("store-corrupt", "rollback"),
+    // Wire and store chaos through one soak: a corrupt inbound frame, a
+    // mid-stream connection reset and a torn checkpoint write. The chaos
+    // log records what fired; the clients' retransmits and lease-redeeming
+    // reconnects record the recovery; the result bits must not move.
+    let chaos = ChaosSchedule::new(21)
+        .inject(ChaosSite::ClientToServer, 1, ChaosKind::BitFlip { bit: 65 })
+        .inject(ChaosSite::ServerToClient, 4, ChaosKind::Reset)
+        .inject(ChaosSite::Store, 0, ChaosKind::TornWrite { keep: 8 });
+    let requests = [
+        RunRequest::new("acme", "DC-AI-C15", 1, 3),
+        RunRequest::new("zeta", "DC-AI-C15", 2, 3),
     ];
-    assert_eq!(expected.len(), TrainFault::KINDS.len());
-    for kind in TrainFault::KINDS {
-        let (_, action) = expected
-            .iter()
-            .find(|(k, _)| k == &kind)
-            .unwrap_or_else(|| panic!("no expectation for kind `{kind}`"));
-        let actions = covered
-            .get(kind)
-            .unwrap_or_else(|| panic!("kind `{kind}` never fired in any seeded scenario"));
+    let chaotic = run_soak(&registry, &requests, &chaos, SoakConfig::default());
+    let calm = run_soak(
+        &registry,
+        &requests,
+        &ChaosSchedule::empty(),
+        SoakConfig::default(),
+    );
+    assert_eq!(
+        chaotic.chaos_signature(),
+        "c2s@1:bit-flip:65:s0;store@0:torn-write:8:s0;s2c@4:reset:s0"
+    );
+    assert_eq!((calm.retries, calm.reconnects), (0, 0));
+    assert!(
+        chaotic.retries > 0 && chaotic.reconnects > 0,
+        "chaos must cost retransmits and reconnects: {} retries, {} reconnects",
+        chaotic.retries,
+        chaotic.reconnects
+    );
+    let chaotic_results = chaotic.results();
+    for (key, calm_done) in calm.results() {
+        let done = chaotic_results
+            .get(&key)
+            .unwrap_or_else(|| panic!("submission {key:?} lost under chaos"));
         assert!(
-            actions.contains(action),
-            "kind `{kind}` recovered via {actions:?}, expected `{action}`"
+            done.result.deterministic_eq(&calm_done.result),
+            "result bits changed under chaos for {key:?}"
         );
     }
 }
