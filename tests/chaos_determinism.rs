@@ -10,6 +10,9 @@
 //! * the empty `ChaosSchedule` is a true no-op: a calm soak is
 //!   indistinguishable from a plain `run_trace` replay (schedule, ticks,
 //!   and result bits);
+//! * every soak configuration above and in the crates' tests reproduces
+//!   a literal report: ticks, chaos log, schedule and all six recovery
+//!   counters;
 //! * over real TCP, a client whose connection is killed mid-stream
 //!   reconnects, resumes its event stream past the last seq it saw, and
 //!   receives the same final result bits as a client that was never
@@ -213,4 +216,374 @@ fn killed_tcp_connection_reconnects_and_resumes_the_same_bits() {
         done.outcome_signature,
         expected.sessions[0].done.outcome_signature
     );
+}
+
+/// One pinned soak report: every field `ChaosReport::deterministic_eq`
+/// compares except the result bits, as literals.
+struct Pinned {
+    ticks: u64,
+    /// `retries`, `reconnects`, `redeliveries`, `duplicates_dropped`,
+    /// `sheds`, `lease_misses`.
+    counters: [u64; 6],
+    chaos: &'static str,
+    schedule: &'static str,
+}
+
+/// Every soak configuration the tests run, plus the one shedding soak
+/// (`budget: 1, max_queue: 1`, the only configuration with `sheds > 0`),
+/// pinned to literal reports. Comparing two runs with each other cannot
+/// notice a change to the recovery protocol that both runs share; these
+/// literals do.
+#[test]
+fn pinned_soak_reports_hold_their_literal_values() {
+    let registry = Registry::aibench();
+    let pairs = |n: usize| -> Vec<RunRequest> {
+        (0..n)
+            .map(|i| RunRequest::new(["a", "b"][i % 2], PROBE, i as u64 + 1, 2))
+            .collect()
+    };
+    let pair_of_threes = vec![
+        RunRequest::new("acme", PROBE, 1, 3),
+        RunRequest::new("zeta", PROBE, 2, 3),
+    ];
+    let long = vec![RunRequest::new("t", PROBE, 1, 6)];
+    let reset = ChaosSchedule::new(3).inject(ChaosSite::ServerToClient, 2, ChaosKind::Reset);
+    let dropping = SoakConfig {
+        serve: ServeConfig {
+            quirks: aibench_serve::Quirks {
+                drop_lease: true,
+                ..Default::default()
+            },
+            ..ServeConfig::default()
+        },
+        ..SoakConfig::default()
+    };
+    let shedding = SoakConfig {
+        serve: ServeConfig {
+            budget: 1,
+            max_queue: 1,
+            ..ServeConfig::default()
+        },
+        ..SoakConfig::default()
+    };
+    let cases: Vec<(&str, Vec<RunRequest>, ChaosSchedule, SoakConfig)> = vec![
+        (
+            "calm-3",
+            pairs(3),
+            ChaosSchedule::empty(),
+            SoakConfig::default(),
+        ),
+        (
+            "wire-5",
+            pairs(3),
+            ChaosSchedule::new(5)
+                .inject(ChaosSite::ClientToServer, 1, ChaosKind::BitFlip { bit: 40 })
+                .inject(ChaosSite::ServerToClient, 0, ChaosKind::BitFlip { bit: 99 })
+                .inject(ChaosSite::ServerToClient, 4, ChaosKind::Reset)
+                .inject(ChaosSite::ServerToClient, 6, ChaosKind::Duplicate)
+                .inject(ChaosSite::ServerToClient, 8, ChaosKind::Delay { ticks: 2 }),
+            SoakConfig::default(),
+        ),
+        (
+            "calm-2",
+            pairs(2),
+            ChaosSchedule::empty(),
+            SoakConfig::default(),
+        ),
+        (
+            "store-server-9",
+            pairs(2),
+            ChaosSchedule::new(9)
+                .inject(ChaosSite::Store, 0, ChaosKind::DiskFull)
+                .inject(ChaosSite::Store, 1, ChaosKind::TornWrite { keep: 8 })
+                .inject(ChaosSite::Store, 2, ChaosKind::BitRot { bit: 33 })
+                .inject(ChaosSite::Server, 1, ChaosKind::TickStall { ticks: 2 })
+                .inject(ChaosSite::Server, 5, ChaosKind::SlowWrite { ticks: 1 }),
+            SoakConfig::default(),
+        ),
+        (
+            "seeded-17",
+            pairs(3),
+            ChaosSchedule::seeded(17, 40, 12),
+            SoakConfig::default(),
+        ),
+        (
+            "lease-kept",
+            long.clone(),
+            reset.clone(),
+            SoakConfig::default(),
+        ),
+        ("lease-dropped", long, reset, dropping),
+        (
+            "calm-4",
+            soak_requests(),
+            ChaosSchedule::empty(),
+            SoakConfig::default(),
+        ),
+        (
+            "seeded-7",
+            soak_requests(),
+            ChaosSchedule::seeded(7, 60, 14),
+            SoakConfig::default(),
+        ),
+        (
+            "seeded-33",
+            soak_requests(),
+            ChaosSchedule::seeded(33, 60, 14),
+            SoakConfig::default(),
+        ),
+        (
+            "seeded-101",
+            soak_requests(),
+            ChaosSchedule::seeded(101, 60, 14),
+            SoakConfig::default(),
+        ),
+        (
+            "park-1",
+            soak_requests(),
+            ChaosSchedule::new(1).inject(
+                ChaosSite::ClientToServer,
+                3,
+                ChaosKind::Delay { ticks: 1 },
+            ),
+            SoakConfig::default(),
+        ),
+        (
+            "recovery-21",
+            pair_of_threes.clone(),
+            ChaosSchedule::new(21)
+                .inject(ChaosSite::ClientToServer, 1, ChaosKind::BitFlip { bit: 65 })
+                .inject(ChaosSite::ServerToClient, 4, ChaosKind::Reset)
+                .inject(ChaosSite::Store, 0, ChaosKind::TornWrite { keep: 8 }),
+            SoakConfig::default(),
+        ),
+        (
+            "calm-threes",
+            pair_of_threes,
+            ChaosSchedule::empty(),
+            SoakConfig::default(),
+        ),
+        (
+            "shed-44",
+            soak_requests(),
+            ChaosSchedule::seeded(44, 60, 10),
+            shedding,
+        ),
+    ];
+    let pins: Vec<(&str, Pinned)> = vec![
+        (
+            "calm-3",
+            Pinned {
+                ticks: 4,
+                counters: [0, 0, 0, 0, 0, 0],
+                chaos: "calm",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:arrive;t0:s2:arrive;t0:s0:admit;",
+                "t0:s1:admit;t1:s0:finish:missed-target;",
+                "t1:s1:finish:missed-target;t2:s2:admit;",
+                "t3:s2:finish:converged",
+            ),
+            },
+        ),
+        (
+            "wire-5",
+            Pinned {
+                ticks: 5,
+                counters: [4, 0, 4, 1, 0, 0],
+                chaos: "c2s@1:bit-flip:40:s0;s2c@0:bit-flip:99:s0;s2c@4:reset:s0;s2c@6:duplicate:s1;s2c@8:delay:2:s0",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:arrive;t0:s0:admit;t0:s1:admit;",
+                "t1:s0:finish:missed-target;t1:s1:finish:converged;",
+                "t3:s2:arrive;t3:s2:admit;t4:s2:finish:missed-target",
+            ),
+            },
+        ),
+        (
+            "calm-2",
+            Pinned {
+                ticks: 2,
+                counters: [0, 0, 0, 0, 0, 0],
+                chaos: "calm",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:arrive;t0:s0:admit;t0:s1:admit;",
+                "t1:s0:finish:missed-target;t1:s1:finish:missed-target",
+            ),
+            },
+        ),
+        (
+            "store-server-9",
+            Pinned {
+                ticks: 4,
+                counters: [0, 0, 0, 0, 0, 0],
+                chaos: "store@0:disk-full:s0;store@1:torn-write:8:s1;srv@1:tick-stall:2:s0;store@2:bit-rot:33:s0",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:arrive;t0:s0:admit;t0:s1:admit;",
+                "t3:s0:finish:missed-target;t3:s1:finish:missed-target",
+            ),
+            },
+        ),
+        (
+            "seeded-17",
+            Pinned {
+                ticks: 7,
+                counters: [2, 2, 11, 0, 0, 0],
+                chaos: "s2c@0:truncate:18:s0;s2c@3:bit-flip:138:s0;s2c@10:bit-flip:224:s2;s2c@12:reset:s0;s2c@21:duplicate:s0;s2c@21:delay:3:s0",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:arrive;t0:s2:arrive;t0:s0:admit;",
+                "t0:s1:admit;t1:s0:finish:missed-target;",
+                "t1:s1:finish:missed-target;t2:s2:admit;",
+                "t3:s2:finish:converged",
+            ),
+            },
+        ),
+        (
+            "lease-kept",
+            Pinned {
+                ticks: 4,
+                counters: [0, 1, 4, 0, 0, 0],
+                chaos: "s2c@2:reset:s0",
+                schedule: "t0:s0:arrive;t0:s0:admit;t2:s0:finish:converged",
+            },
+        ),
+        (
+            "lease-dropped",
+            Pinned {
+                ticks: 4,
+                counters: [0, 1, 0, 0, 0, 1],
+                chaos: "s2c@2:reset:s0",
+                schedule: "t0:s0:arrive;t0:s0:admit;t2:s0:finish:converged",
+            },
+        ),
+        (
+            "calm-4",
+            Pinned {
+                ticks: 5,
+                counters: [0, 0, 0, 0, 0, 0],
+                chaos: "calm",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:arrive;t0:s2:arrive;t0:s3:arrive;",
+                "t0:s3:admit;t0:s0:admit;t1:s3:finish:missed-target;",
+                "t2:s2:admit;t2:s0:finish:converged;t3:s1:admit;",
+                "t3:s2:finish:converged;t4:s1:finish:missed-target",
+            ),
+            },
+        ),
+        (
+            "seeded-7",
+            Pinned {
+                ticks: 5,
+                counters: [4, 0, 7, 1, 0, 0],
+                chaos: "s2c@0:bit-flip:210:s0;s2c@2:bit-flip:212:s2;s2c@6:duplicate:s0;s2c@18:duplicate:s2;s2c@22:delay:1:s2",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:arrive;t0:s2:arrive;t0:s3:arrive;",
+                "t0:s3:admit;t0:s0:admit;t1:s3:finish:missed-target;",
+                "t2:s2:admit;t2:s0:finish:converged;t3:s1:admit;",
+                "t3:s2:finish:converged;t4:s1:finish:missed-target",
+            ),
+            },
+        ),
+        (
+            "seeded-33",
+            Pinned {
+                ticks: 5,
+                counters: [2, 0, 4, 1, 0, 0],
+                chaos: "s2c@3:truncate:11:s3;s2c@9:duplicate:s2",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:arrive;t0:s2:arrive;t0:s3:arrive;",
+                "t0:s3:admit;t0:s0:admit;t1:s3:finish:missed-target;",
+                "t2:s2:admit;t2:s0:finish:converged;t3:s1:admit;",
+                "t3:s2:finish:converged;t4:s1:finish:missed-target",
+            ),
+            },
+        ),
+        (
+            "seeded-101",
+            Pinned {
+                ticks: 7,
+                counters: [0, 2, 6, 1, 0, 0],
+                chaos: "store@0:disk-full:s0;s2c@7:truncate:7:s0;s2c@16:delay:1:s0;s2c@16:reset:s0;s2c@18:duplicate:s1;s2c@26:duplicate:s0",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:arrive;t0:s2:arrive;t0:s3:arrive;",
+                "t0:s3:admit;t0:s0:admit;t1:s3:finish:missed-target;",
+                "t2:s2:admit;t2:s0:finish:recovered:1;t3:s1:admit;",
+                "t3:s2:finish:converged;t4:s1:finish:missed-target",
+            ),
+            },
+        ),
+        (
+            "park-1",
+            Pinned {
+                ticks: 5,
+                counters: [0, 0, 0, 0, 0, 0],
+                chaos: "c2s@3:delay:1:s0",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:arrive;t0:s2:arrive;t0:s0:admit;",
+                "t0:s1:admit;t1:s3:arrive;t1:s1:park@1;t1:s3:admit;",
+                "t2:s0:finish:converged;t2:s3:finish:missed-target;",
+                "t3:s2:admit;t3:s1:resume@1;t3:s1:finish:missed-target;",
+                "t4:s2:finish:converged",
+            ),
+            },
+        ),
+        (
+            "recovery-21",
+            Pinned {
+                ticks: 6,
+                counters: [2, 1, 2, 0, 0, 0],
+                chaos: "c2s@1:bit-flip:65:s0;store@0:torn-write:8:s0;s2c@4:reset:s0",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s0:admit;t2:s0:finish:converged;",
+                "t3:s1:arrive;t3:s1:admit;t5:s1:finish:missed-target",
+            ),
+            },
+        ),
+        (
+            "calm-threes",
+            Pinned {
+                ticks: 3,
+                counters: [0, 0, 0, 0, 0, 0],
+                chaos: "calm",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:arrive;t0:s0:admit;t0:s1:admit;",
+                "t2:s0:finish:converged;t2:s1:finish:missed-target",
+            ),
+            },
+        ),
+        (
+            "shed-44",
+            Pinned {
+                ticks: 19,
+                counters: [12, 1, 4, 0, 5, 0],
+                chaos: "c2s@7:bit-flip:126:s0;s2c@17:reset:s7",
+                schedule: concat!(
+                "t0:s0:arrive;t0:s1:reject;t0:s2:reject;t0:s3:reject;",
+                "t0:s0:admit;t2:s0:finish:converged;t3:s4:arrive;",
+                "t3:s5:reject;t3:s6:reject;t3:s4:admit;",
+                "t4:s4:finish:missed-target;t8:s7:arrive;t8:s7:admit;",
+                "t9:s7:finish:missed-target;t17:s8:arrive;t17:s8:admit;",
+                "t18:s8:finish:converged",
+            ),
+            },
+        ),
+    ];
+    assert_eq!(cases.len(), pins.len());
+    for ((name, requests, chaos, config), (pinned_name, pin)) in cases.into_iter().zip(pins) {
+        assert_eq!(name, pinned_name, "case and pin tables are out of step");
+        let r = run_soak(&registry, &requests, &chaos, config);
+        assert_eq!(r.ticks, pin.ticks, "{name}: ticks");
+        assert_eq!(
+            [
+                r.retries,
+                r.reconnects,
+                r.redeliveries,
+                r.duplicates_dropped,
+                r.sheds,
+                r.lease_misses
+            ],
+            pin.counters,
+            "{name}: retries, reconnects, redeliveries, duplicates_dropped, sheds, lease_misses"
+        );
+        assert_eq!(r.chaos_signature(), pin.chaos, "{name}: chaos log");
+        assert_eq!(r.schedule_signature(), pin.schedule, "{name}: schedule");
+    }
 }

@@ -12,7 +12,8 @@
 //! * a tenant with a poisoned fault schedule is quarantined without
 //!   perturbing a clean neighbor's bits;
 //! * the full client path (TCP submit → progress stream → final record)
-//!   delivers the same result bits the core computed;
+//!   delivers the same result bits the core computed, also when the
+//!   handshake frame arrives split across two writes;
 //! * a client that disconnects mid-progress-stream detaches only its own
 //!   delivery: the serve loop survives, the session completes, and a
 //!   concurrent client's stream and result bits are unaffected.
@@ -279,4 +280,56 @@ fn dead_client_mid_stream_does_not_abort_the_serve_loop() {
         vec![1, 2, 3],
         "the survivor's stream must be complete and in order"
     );
+}
+
+/// A handshake frame that reaches the server in two halves, 350 ms apart,
+/// is still one submission: the server waits for the rest of a frame
+/// while bytes keep coming, and gives up only after 5 s of silence.
+#[test]
+fn split_handshake_frame_is_still_accepted() {
+    use aibench_serve::wire::{read_frame, write_frame, ClientMsg, ServerMsg};
+    use std::io::Write;
+
+    let request = RunRequest::new("acme", PROBE, 7, 2);
+    let expected = run_trace(
+        &Registry::aibench(),
+        ServeConfig::default(),
+        &[(0, request.clone())],
+    );
+    let (addr_tx, addr_rx) = std::sync::mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let registry = Registry::aibench();
+        aibench_serve::tcp::serve_sessions(
+            &registry,
+            ServeConfig::default(),
+            "127.0.0.1:0",
+            1,
+            move |addr| addr_tx.send(addr).unwrap(),
+        )
+    });
+    let addr = addr_rx.recv().expect("server never bound");
+
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &ClientMsg::Submit(request).to_bytes()).unwrap();
+    let (head, tail) = frame.split_at(frame.len() / 2);
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.write_all(head).unwrap();
+    stream.flush().unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(350));
+    stream.write_all(tail).unwrap();
+
+    let done = loop {
+        let payload = read_frame(&mut stream)
+            .expect("stream readable")
+            .expect("server open");
+        match ServerMsg::from_bytes(&payload).expect("valid frame") {
+            ServerMsg::Done(done) => break done,
+            ServerMsg::Rejected { reason, .. } => panic!("split frame rejected: {reason}"),
+            _ => {}
+        }
+    };
+    assert_eq!(server.join().unwrap().unwrap(), 1);
+    assert!(done
+        .result
+        .deterministic_eq(&expected.sessions[0].done.result));
 }
