@@ -21,7 +21,8 @@
 //!   what the hardening did about each injection shows in the
 //!   [`ChaosReport`] recovery counters.
 //! * [`soak`] — [`run_soak`]: the in-process client/server harness that
-//!   drives a real `ServerCore` through real wire bytes under chaos.
+//!   drives a real `ServerCore`, and the lease table and client machine
+//!   the TCP transport ships, through real wire bytes under chaos.
 //!
 //! # The chaos invariant
 //!

@@ -7,9 +7,12 @@
 //! The simulated wire carries the exact frame payloads the TCP transport
 //! would ([`ClientMsg::to_bytes`] / [`ServerMsg::to_bytes`]), so a
 //! bit-flip here exercises the same CRC rejection path a hostile network
-//! would hit. Clients run the same protocol as `aibench_serve::tcp`'s
-//! blocking client: idempotent submits retried under exponential backoff,
-//! seq-deduplicated progress streams, and lease-redeeming reconnects.
+//! would hit. Both ends run the code TCP ships: every client is an
+//! [`aibench_serve::client::Client`] (idempotent submits retried under
+//! exponential backoff, seq-deduplicated progress streams,
+//! lease-redeeming reconnects) and the server's leases are an
+//! [`aibench_serve::lease::LeaseTable`]. The soak itself owns only the
+//! chaotic wire, the store and server injections, and the round order.
 //!
 //! # Determinism
 //!
@@ -39,20 +42,14 @@ use std::rc::Rc;
 
 use aibench::registry::Registry;
 use aibench_ckpt::{CheckpointSink, MemorySink};
+use aibench_serve::client::{Action, Client};
+use aibench_serve::lease::LeaseTable;
 use aibench_serve::wire::{ClientMsg, DoneMsg, RunRequest, ServerMsg};
 use aibench_serve::{schedule_signature, SchedEvent, ServeConfig, ServerCore};
 
 use crate::log::{chaos_signature, ChaosEvent};
 use crate::schedule::{ChaosKind, ChaosSchedule, ChaosSite};
 use crate::sink::{ChaosSink, StoreChaos};
-
-/// Ticks a client waits for `Accepted` before retransmitting its submit.
-const ACCEPT_TIMEOUT: u64 = 40;
-
-/// Exponential client backoff in ticks: 2, 4, 8, … capped at 64.
-fn backoff_ticks(attempt: u32) -> u64 {
-    2u64 << attempt.min(5)
-}
 
 /// Soak harness configuration.
 #[derive(Debug, Clone, Copy)]
@@ -171,44 +168,6 @@ impl ChaosReport {
     }
 }
 
-/// Client protocol phase.
-enum Phase {
-    /// Not yet submitted.
-    Idle,
-    /// Submit (or reconnect) sent; waiting for `Accepted`.
-    AwaitAccept {
-        /// Tick the frame was sent at (drives the retransmit timeout).
-        sent_at: u64,
-    },
-    /// Accepted; consuming the progress stream.
-    Streaming,
-    /// Connection died or submission was shed; waiting out the backoff.
-    Backoff {
-        /// Tick the client retries at.
-        until: u64,
-    },
-    /// Done or Failed — terminal.
-    Finished,
-}
-
-struct Client {
-    request: RunRequest,
-    phase: Phase,
-    /// Retry attempt counter; resets on a successful accept.
-    attempt: u32,
-    /// Last progress seq seen — the dedupe/replay cursor.
-    last_seq: u64,
-    /// Whether the server ever accepted this submission (decides
-    /// retransmit-vs-reconnect after a dead connection).
-    accepted: bool,
-    /// Whether the current connection is usable.
-    alive: bool,
-    /// Connection generation: frames from a dead generation never deliver.
-    gen: u32,
-    done: Option<DoneMsg>,
-    failure: Option<String>,
-}
-
 /// What arrives at the far end of the simulated wire.
 enum Payload {
     /// Frame bytes (possibly corrupted or truncated by chaos).
@@ -230,15 +189,9 @@ struct Frame {
 }
 
 fn take_due(queue: &mut Vec<Frame>, now: u64) -> Vec<Frame> {
-    let mut due = Vec::new();
-    let mut rest = Vec::new();
-    for f in queue.drain(..) {
-        if f.deliver_at <= now {
-            due.push(f);
-        } else {
-            rest.push(f);
-        }
-    }
+    let (due, rest) = std::mem::take(queue)
+        .into_iter()
+        .partition(|f| f.deliver_at <= now);
     *queue = rest;
     due
 }
@@ -247,26 +200,19 @@ struct Soak<'a> {
     core: ServerCore<'a>,
     chaos: &'a ChaosSchedule,
     store: Rc<RefCell<StoreChaos>>,
-    drop_lease: bool,
+    /// The server's leases; a connection is named by its client index.
+    leases: LeaseTable<usize>,
     clients: Vec<Client>,
+    /// Each client's connection generation: frames from a dead
+    /// generation never deliver.
+    gens: Vec<u32>,
+    /// The session each client was last accepted for (chaos-log labels).
+    client_session: Vec<Option<u64>>,
     c2s: Vec<Frame>,
     s2c: Vec<Frame>,
     c2s_sent: u64,
     s2c_sent: u64,
-    /// Per-session buffered server messages — the lease.
-    history: BTreeMap<u64, Vec<ServerMsg>>,
-    /// Sessions whose lease the `drop_lease` quirk destroyed: buffering
-    /// stops for good, so a reconnect can never be made whole.
-    dropped_leases: std::collections::BTreeSet<u64>,
-    session_client: BTreeMap<u64, usize>,
-    client_session: Vec<Option<u64>>,
     chaos_log: Vec<ChaosEvent>,
-    retries: u64,
-    reconnects: u64,
-    redeliveries: u64,
-    duplicates_dropped: u64,
-    sheds: u64,
-    lease_misses: u64,
 }
 
 impl<'a> Soak<'a> {
@@ -275,33 +221,22 @@ impl<'a> Soak<'a> {
     }
 
     fn kill_conn(&mut self, client: usize) {
-        self.clients[client].alive = false;
-        if self.drop_lease {
-            // The quirk under lint: the server forgets the disconnected
-            // client's buffered events and result.
-            if let Some(id) = self.client_session[client] {
-                self.history.remove(&id);
-                self.dropped_leases.insert(id);
+        self.clients[client].disconnected();
+        self.leases.disconnected(client);
+    }
+
+    /// Puts every message the lease table queued on the wire to each
+    /// live connection, `slow` ticks late when a slow write is active.
+    fn flush(&mut self, slow: u64) {
+        for (client, msg) in self.leases.take_sends() {
+            if let ServerMsg::Accepted { session } = msg {
+                self.client_session[client] = Some(session);
+            }
+            if self.clients[client].is_connected() {
+                let at = self.core.tick_count() + slow;
+                self.send_wire(ChaosSite::ServerToClient, client, msg.to_bytes(), at);
             }
         }
-    }
-
-    /// Sends one client→server frame, applying due wire chaos.
-    fn send_c2s(&mut self, client: usize, msg: &ClientMsg) {
-        let bytes = msg.to_bytes();
-        let deliver_at = self.core.tick_count();
-        self.send_wire(ChaosSite::ClientToServer, client, bytes, deliver_at);
-    }
-
-    /// Sends one server→client frame, applying due wire chaos plus any
-    /// slow-write delay active this tick.
-    fn send_s2c(&mut self, client: usize, msg: &ServerMsg, slow: u64) {
-        if !self.clients[client].alive {
-            return;
-        }
-        let bytes = msg.to_bytes();
-        let deliver_at = self.core.tick_count() + slow;
-        self.send_wire(ChaosSite::ServerToClient, client, bytes, deliver_at);
     }
 
     /// The shared wire path: count the direction-global frame index,
@@ -343,7 +278,7 @@ impl<'a> Soak<'a> {
                 _ => unreachable!("schedule validated kinds per site"),
             }
         }
-        let gen = self.clients[client].gen;
+        let gen = self.gens[client];
         let queue = match site {
             ChaosSite::ClientToServer => &mut self.c2s,
             _ => &mut self.s2c,
@@ -368,266 +303,54 @@ impl<'a> Soak<'a> {
         }
     }
 
-    /// Replays buffered history with progress seq > `after_seq` — the
-    /// lease redemption path.
-    fn replay(&mut self, client: usize, session: u64, after_seq: u64) {
-        let msgs: Vec<ServerMsg> = self
-            .history
-            .get(&session)
-            .map(|h| {
-                h.iter()
-                    .filter(|m| match m {
-                        ServerMsg::Progress(p) => p.seq > after_seq,
-                        ServerMsg::Done(_) => true,
-                        _ => false,
-                    })
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
-        self.redeliveries += msgs.len() as u64;
-        for msg in msgs {
-            self.send_s2c(client, &msg, 0);
-        }
-    }
-
-    /// One client's turn: submit, time out, or retry.
+    /// One client's turn: whatever its protocol machine sends now.
     fn client_act(&mut self, i: usize, tick: u64) {
-        let (phase_action, request) = {
-            let c = &mut self.clients[i];
-            match c.phase {
-                Phase::Idle => {
-                    c.alive = true;
-                    c.phase = Phase::AwaitAccept { sent_at: tick };
-                    (1, Some(ClientMsg::Submit(c.request.clone())))
-                }
-                Phase::AwaitAccept { sent_at } => {
-                    if !c.alive {
-                        self.retries += 1;
-                        let c = &mut self.clients[i];
-                        c.phase = Phase::Backoff {
-                            until: tick + backoff_ticks(c.attempt),
-                        };
-                        c.attempt += 1;
-                        return;
-                    } else if tick.saturating_sub(sent_at) >= ACCEPT_TIMEOUT {
-                        // Belt-and-braces: the accept was lost without the
-                        // connection dying. Idempotent keys make the
-                        // retransmit safe.
-                        self.retries += 1;
-                        let c = &mut self.clients[i];
-                        c.attempt += 1;
-                        c.phase = Phase::AwaitAccept { sent_at: tick };
-                        (1, Some(ClientMsg::Submit(c.request.clone())))
-                    } else {
-                        return;
-                    }
-                }
-                Phase::Streaming => {
-                    if !c.alive {
-                        c.phase = Phase::Backoff {
-                            until: tick + backoff_ticks(c.attempt),
-                        };
-                        c.attempt += 1;
-                    }
-                    return;
-                }
-                Phase::Backoff { until } => {
-                    if tick < until {
-                        return;
-                    }
-                    c.gen += 1;
-                    c.alive = true;
-                    c.phase = Phase::AwaitAccept { sent_at: tick };
-                    if c.accepted {
-                        (2, None)
-                    } else {
-                        self.retries += 1;
-                        let c = &self.clients[i];
-                        (1, Some(ClientMsg::Submit(c.request.clone())))
-                    }
-                }
-                Phase::Finished => return,
+        let msg = match self.clients[i].poll(tick) {
+            Some(Action::Connect(msg)) => {
+                self.gens[i] += 1;
+                msg
             }
+            Some(Action::Resend(msg)) => msg,
+            None => return,
         };
-        match phase_action {
-            1 => {
-                let msg = request.expect("submit carries the request");
-                self.send_c2s(i, &msg);
-            }
-            2 => {
-                self.reconnects += 1;
-                let c = &self.clients[i];
-                let msg = ClientMsg::Reconnect {
-                    tenant: c.request.tenant.clone(),
-                    submission: c.request.submission,
-                    after_seq: c.last_seq,
-                };
-                self.send_c2s(i, &msg);
-            }
-            _ => unreachable!(),
-        }
+        self.send_wire(ChaosSite::ClientToServer, i, msg.to_bytes(), tick);
     }
 
-    /// The server's handling of one delivered client→server frame.
+    /// The server's handling of one delivered client→server frame. A
+    /// hangup or a corrupt frame (the CRC refused it) drops the
+    /// connection; the client's recovery drives a retransmit.
     fn server_handle(&mut self, f: Frame) {
         let client = f.client;
-        if !self.clients[client].alive || self.clients[client].gen != f.gen {
+        if !self.clients[client].is_connected() || self.gens[client] != f.gen {
             return;
         }
-        let bytes = match f.payload {
-            Payload::Data(bytes) => bytes,
-            Payload::Hangup => {
-                self.kill_conn(client);
-                return;
-            }
+        let msg = match f.payload {
+            Payload::Data(bytes) => ClientMsg::from_bytes(&bytes).ok(),
+            Payload::Hangup => None,
         };
-        let msg = match ClientMsg::from_bytes(&bytes) {
-            Ok(msg) => msg,
-            Err(_) => {
-                // A corrupt frame: the CRC refused it. Drop the
-                // connection; the client's timeout drives a retransmit.
-                self.kill_conn(client);
-                return;
-            }
+        let Some(msg) = msg else {
+            self.kill_conn(client);
+            return;
         };
-        match msg {
-            ClientMsg::Submit(request) => match self.core.submit(request) {
-                Ok(id) => {
-                    if self.dropped_leases.contains(&id) {
-                        // The quirk destroyed this session's lease; the
-                        // retransmit resolves to a session the server no
-                        // longer remembers serving.
-                        self.lease_misses += 1;
-                        self.send_s2c(
-                            client,
-                            &ServerMsg::Rejected {
-                                reason: format!("no lease for session {id}"),
-                                retryable: false,
-                            },
-                            0,
-                        );
-                        return;
-                    }
-                    let known = self.history.contains_key(&id);
-                    self.session_client.insert(id, client);
-                    self.client_session[client] = Some(id);
-                    self.history.entry(id).or_default();
-                    self.send_s2c(client, &ServerMsg::Accepted { session: id }, 0);
-                    if known {
-                        // Retransmit of an accepted submission: replay
-                        // everything buffered so far.
-                        self.replay(client, id, 0);
-                    }
-                }
-                Err(rejection) => {
-                    self.send_s2c(
-                        client,
-                        &ServerMsg::Rejected {
-                            reason: rejection.reason,
-                            retryable: rejection.retryable,
-                        },
-                        0,
-                    );
-                }
-            },
-            ClientMsg::Reconnect {
-                tenant,
-                submission,
-                after_seq,
-            } => {
-                let lease = self
-                    .core
-                    .lookup_submission(&tenant, submission)
-                    .filter(|id| self.history.contains_key(id));
-                match lease {
-                    Some(id) => {
-                        self.session_client.insert(id, client);
-                        self.client_session[client] = Some(id);
-                        self.send_s2c(client, &ServerMsg::Accepted { session: id }, 0);
-                        self.replay(client, id, after_seq);
-                    }
-                    None => {
-                        self.lease_misses += 1;
-                        self.send_s2c(
-                            client,
-                            &ServerMsg::Rejected {
-                                reason: format!(
-                                    "no lease for tenant `{tenant}` submission {submission}"
-                                ),
-                                retryable: false,
-                            },
-                            0,
-                        );
-                    }
-                }
-            }
-        }
+        let _ = self.leases.handle(&mut self.core, client, msg);
+        self.flush(0);
     }
 
-    /// One client's handling of one delivered server→client frame.
+    /// One client's handling of one delivered server→client frame. A
+    /// hangup or a corrupt frame drops the connection, and the reconnect
+    /// replays what was missed.
     fn client_handle(&mut self, f: Frame, tick: u64) {
         let i = f.client;
-        if !self.clients[i].alive || self.clients[i].gen != f.gen {
+        if !self.clients[i].is_connected() || self.gens[i] != f.gen {
             return;
         }
-        let bytes = match f.payload {
-            Payload::Data(bytes) => bytes,
-            Payload::Hangup => {
-                self.kill_conn(i);
-                return;
-            }
+        let msg = match f.payload {
+            Payload::Data(bytes) => ServerMsg::from_bytes(&bytes).ok(),
+            Payload::Hangup => None,
         };
-        let msg = match ServerMsg::from_bytes(&bytes) {
-            Ok(msg) => msg,
-            Err(_) => {
-                // Corrupt downstream frame: drop the connection and let
-                // the reconnect path replay what was missed.
-                self.kill_conn(i);
-                return;
-            }
-        };
-        let c = &mut self.clients[i];
         match msg {
-            ServerMsg::Accepted { .. } => {
-                c.accepted = true;
-                c.attempt = 0;
-                if matches!(c.phase, Phase::AwaitAccept { .. }) {
-                    c.phase = Phase::Streaming;
-                }
-            }
-            ServerMsg::Rejected { reason, retryable } => {
-                if retryable {
-                    self.sheds += 1;
-                    self.retries += 1;
-                    let c = &mut self.clients[i];
-                    c.phase = Phase::Backoff {
-                        until: tick + backoff_ticks(c.attempt),
-                    };
-                    c.attempt += 1;
-                    c.alive = false;
-                } else {
-                    c.failure = Some(reason);
-                    c.phase = Phase::Finished;
-                }
-            }
-            ServerMsg::Progress(p) => {
-                if p.seq > c.last_seq {
-                    c.last_seq = p.seq;
-                } else {
-                    self.duplicates_dropped += 1;
-                    return;
-                }
-                let c = &mut self.clients[i];
-                c.accepted = true;
-                if matches!(c.phase, Phase::AwaitAccept { .. }) {
-                    c.phase = Phase::Streaming;
-                }
-            }
-            ServerMsg::Done(done) => {
-                c.done = Some(done);
-                c.phase = Phase::Finished;
-            }
+            Some(msg) => self.clients[i].receive(msg, tick),
+            None => self.kill_conn(i),
         }
     }
 }
@@ -668,17 +391,7 @@ pub fn run_soak(
             if request.submission == 0 {
                 request = request.with_submission(i as u64 + 1);
             }
-            Client {
-                request,
-                phase: Phase::Idle,
-                attempt: 0,
-                last_seq: 0,
-                accepted: false,
-                alive: false,
-                gen: 0,
-                done: None,
-                failure: None,
-            }
+            Client::new(request)
         })
         .collect();
     let client_count = clients.len();
@@ -686,30 +399,18 @@ pub fn run_soak(
         core,
         chaos,
         store,
-        drop_lease: config.serve.quirks.drop_lease,
+        leases: LeaseTable::new(config.serve.quirks.drop_lease),
         clients,
+        gens: vec![0; client_count],
+        client_session: vec![None; client_count],
         c2s: Vec::new(),
         s2c: Vec::new(),
         c2s_sent: 0,
         s2c_sent: 0,
-        history: BTreeMap::new(),
-        dropped_leases: std::collections::BTreeSet::new(),
-        session_client: BTreeMap::new(),
-        client_session: vec![None; client_count],
         chaos_log: Vec::new(),
-        retries: 0,
-        reconnects: 0,
-        redeliveries: 0,
-        duplicates_dropped: 0,
-        sheds: 0,
-        lease_misses: 0,
     };
 
-    while soak
-        .clients
-        .iter()
-        .any(|c| !matches!(c.phase, Phase::Finished))
-    {
+    while !soak.clients.iter().all(Client::is_finished) {
         let tick = soak.core.tick_count();
         assert!(
             tick <= config.max_ticks,
@@ -759,27 +460,13 @@ pub fn run_soak(
         soak.chaos_log.extend(store_events);
         // (4) Forward progress into leases and live connections.
         for event in soak.core.drain_events() {
-            let session = event.session;
-            if soak.dropped_leases.contains(&session) {
-                continue;
-            }
-            let msg = ServerMsg::Progress(event);
-            soak.history.entry(session).or_default().push(msg.clone());
-            if let Some(&client) = soak.session_client.get(&session) {
-                soak.send_s2c(client, &msg, slow);
-            }
+            soak.leases
+                .publish(event.session, ServerMsg::Progress(event));
         }
         for done in soak.core.drain_finished() {
-            let session = done.session;
-            if soak.dropped_leases.contains(&session) {
-                continue;
-            }
-            let msg = ServerMsg::Done(done);
-            soak.history.entry(session).or_default().push(msg.clone());
-            if let Some(&client) = soak.session_client.get(&session) {
-                soak.send_s2c(client, &msg, slow);
-            }
+            soak.leases.publish(done.session, ServerMsg::Done(done));
         }
+        soak.flush(slow);
         // (5) Due server→client frames, insertion order.
         let now = soak.core.tick_count();
         for f in take_due(&mut soak.s2c, now) {
@@ -793,23 +480,24 @@ pub fn run_soak(
         .enumerate()
         .map(|(i, c)| SoakOutcome {
             client: i,
-            tenant: c.request.tenant.clone(),
-            submission: c.request.submission,
+            tenant: c.request().tenant.clone(),
+            submission: c.request().submission,
             done: c.done.clone(),
             failure: c.failure.clone(),
         })
         .collect();
+    let total = |count: fn(&Client) -> u64| soak.clients.iter().map(count).sum();
     ChaosReport {
         outcomes,
         chaos_log: soak.chaos_log,
         schedule: soak.core.schedule_log().to_vec(),
         ticks: soak.core.tick_count(),
-        retries: soak.retries,
-        reconnects: soak.reconnects,
-        redeliveries: soak.redeliveries,
-        duplicates_dropped: soak.duplicates_dropped,
-        sheds: soak.sheds,
-        lease_misses: soak.lease_misses,
+        retries: total(|c| c.retries),
+        reconnects: total(|c| c.reconnects),
+        redeliveries: soak.leases.redeliveries,
+        duplicates_dropped: total(|c| c.duplicates_dropped),
+        sheds: total(|c| c.sheds),
+        lease_misses: soak.leases.lease_misses,
     }
 }
 

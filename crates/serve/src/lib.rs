@@ -8,7 +8,7 @@
 //! `aibench-fault` sentinels so one tenant's poisoned run can never take
 //! a neighbor down.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`wire`] — the serde-free wire protocol: length-prefixed frames whose
 //!   payloads are CRC-checked ckpt snapshot containers; results cross the
@@ -16,6 +16,10 @@
 //! * [`server`] — the deterministic, transport-agnostic core: admission,
 //!   fair share, preemption, and the schedule log that witnesses all of it
 //!   ([`server::ServeReport::schedule_signature`]).
+//! * [`lease`] and [`client`] — the two halves of the recovery protocol
+//!   (session leases, idempotent retries, reconnect-and-replay) as state
+//!   machines that never touch a socket, so every transport runs the
+//!   same code.
 //! * [`tcp`] — a thin TCP listener over the core, plus a blocking client.
 //!
 //! # Determinism contract
@@ -30,6 +34,8 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod client;
+pub mod lease;
 pub mod server;
 pub mod tcp;
 pub mod wire;
@@ -38,8 +44,5 @@ pub use server::{
     run_trace, schedule_signature, Quirks, Rejection, SchedAction, SchedEvent, ServeConfig,
     ServeReport, ServerCore, SessionResult,
 };
-pub use tcp::{
-    drain_stream, reconnect_and_wait, serve_sessions, serve_sessions_with, submit_and_wait,
-    submit_with_retry,
-};
+pub use tcp::{reconnect_and_wait, serve_sessions, serve_sessions_with, submit_and_wait};
 pub use wire::{ClientMsg, DoneMsg, Event, ProgressEvent, RunRequest, ServerMsg};

@@ -8,40 +8,24 @@
 //!
 //! # Leases and reconnect
 //!
-//! A session's client connection is a *lease*, not a lifeline. Every
-//! message streamed to a client is also buffered in the session's history;
-//! if the socket dies (write failure, disconnect, timeout) only the stream
-//! is detached — the session keeps running and its final record is
-//! buffered. A client reconnecting with [`ClientMsg::Reconnect`] (or
-//! retransmitting its idempotent submit) redeems the lease: the server
-//! replays every buffered event past the client's last-seen seq and the
-//! final record if the session already finished. One dead socket therefore
-//! never perturbs the scheduler or any other client's bits.
+//! The server runs the shared [`LeaseTable`] and the client helpers the
+//! shared [`Client`] machine, so a dead socket only detaches delivery.
+//! This module adds what sockets need: the handshake read, refusing new
+//! work once `expected_sessions` were accepted, and the linger window.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{Error, ErrorKind};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use aibench::registry::Registry;
 
+use crate::client::{Action, Client};
+use crate::lease::LeaseTable;
 use crate::server::{ServeConfig, ServerCore};
-use crate::wire::{read_frame, write_frame, ClientMsg, ServerMsg, MAX_FRAME};
-
-/// One accepted session's delivery state: the attached stream (if any)
-/// and the append-only history a reconnecting client replays from.
-struct Lease {
-    stream: Option<TcpStream>,
-    /// Every message sent (or that should have been sent) in order:
-    /// progress events, then the final record.
-    history: Vec<ServerMsg>,
-    /// Whether the final record is buffered in `history`.
-    done: bool,
-    /// Whether the final record reached a client successfully.
-    delivered: bool,
-    /// Idempotency key of the submit (`0`: no reconnect possible).
-    submission: u64,
-}
+use crate::wire::{
+    read_frame, write_frame, ClientMsg, DoneMsg, ProgressEvent, RunRequest, ServerMsg,
+};
 
 /// Serves until `expected_sessions` submissions have been accepted and
 /// every accepted session has finished, then returns the number served.
@@ -81,7 +65,10 @@ pub fn serve_sessions_with(
     on_bound(listener.local_addr()?);
 
     let mut core = ServerCore::new(registry, config);
-    let mut leases: BTreeMap<u64, Lease> = BTreeMap::new();
+    let mut leases = LeaseTable::new(config.quirks.drop_lease);
+    // Open connections by handle; a lease names its client by handle.
+    let mut conns: BTreeMap<u64, TcpStream> = BTreeMap::new();
+    let mut next_conn = 0u64;
     let mut accepted = 0usize;
     let mut served = 0usize;
     let mut linger_deadline: Option<Instant> = None;
@@ -90,124 +77,71 @@ pub fn serve_sessions_with(
         // Accept any waiting connections: new submissions while capacity
         // remains, reconnects at any time.
         loop {
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    stream.set_nodelay(true).ok();
-                    // A stalled or dead handshake drops this connection
-                    // only — never the serve loop.
-                    let Ok(Some(payload)) = read_frame_blocking(&mut stream) else {
-                        continue;
-                    };
-                    match ClientMsg::from_bytes(&payload) {
-                        Ok(ClientMsg::Submit(request)) => {
-                            if accepted >= expected_sessions
-                                && core
-                                    .lookup_submission(&request.tenant, request.submission)
-                                    .is_none()
-                            {
-                                // Past capacity and not a retransmit.
-                                let _ = write_frame(
-                                    &mut stream,
-                                    &ServerMsg::Rejected {
-                                        reason: "server is draining".to_string(),
-                                        retryable: false,
-                                    }
-                                    .to_bytes(),
-                                );
-                                continue;
-                            }
-                            let submission = request.submission;
-                            match core.submit(request) {
-                                Ok(session) => {
-                                    if let Some(lease) = leases.get_mut(&session) {
-                                        // Idempotent retransmit: redeem the
-                                        // existing lease from the start.
-                                        attach(lease, stream, session, 0);
-                                    } else {
-                                        accepted += 1;
-                                        let mut lease = Lease {
-                                            stream: None,
-                                            history: Vec::new(),
-                                            done: false,
-                                            delivered: false,
-                                            submission,
-                                        };
-                                        attach(&mut lease, stream, session, 0);
-                                        leases.insert(session, lease);
-                                    }
-                                }
-                                Err(rejection) => {
-                                    if !rejection.retryable {
-                                        // A permanently rejected submission
-                                        // still counts toward the expected
-                                        // total, or the server would wait
-                                        // forever for a session that will
-                                        // never exist. Shed (retryable)
-                                        // submissions will come back.
-                                        accepted += 1;
-                                        served += 1;
-                                    }
-                                    let _ = write_frame(
-                                        &mut stream,
-                                        &ServerMsg::Rejected {
-                                            reason: rejection.reason,
-                                            retryable: rejection.retryable,
-                                        }
-                                        .to_bytes(),
-                                    );
-                                }
-                            }
-                        }
-                        Ok(ClientMsg::Reconnect {
-                            tenant,
-                            submission,
-                            after_seq,
-                        }) => {
-                            let session = core.lookup_submission(&tenant, submission);
-                            match session.and_then(|s| leases.get_mut(&s).map(|l| (s, l))) {
-                                Some((session, lease)) => {
-                                    attach(lease, stream, session, after_seq);
-                                }
-                                None => {
-                                    let _ = write_frame(
-                                        &mut stream,
-                                        &ServerMsg::Rejected {
-                                            reason: format!(
-                                                "no lease for tenant `{tenant}` \
-                                                 submission {submission}"
-                                            ),
-                                            retryable: false,
-                                        }
-                                        .to_bytes(),
-                                    );
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            let _ = write_frame(
-                                &mut stream,
-                                &ServerMsg::Rejected {
-                                    reason: format!("malformed submission: {e}"),
-                                    retryable: false,
-                                }
-                                .to_bytes(),
-                            );
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            let mut stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) => return Err(e),
+            };
+            stream.set_nodelay(true).ok();
+            // A stalled or dead handshake drops this connection only —
+            // never the serve loop. The timeout applies per read, so a
+            // slow client is cut off only after 5 s of true silence.
+            let handshake = stream
+                .set_nonblocking(false)
+                .and_then(|()| stream.set_read_timeout(Some(Duration::from_secs(5))))
+                .and_then(|()| read_frame(&mut stream));
+            let Ok(Some(payload)) = handshake else {
+                continue;
+            };
+            let msg = match ClientMsg::from_bytes(&payload) {
+                Ok(ClientMsg::Submit(request))
+                    if accepted >= expected_sessions
+                        && core
+                            .lookup_submission(&request.tenant, request.submission)
+                            .is_none() =>
+                {
+                    // Past capacity and not a retransmit.
+                    Err("server is draining".to_string())
+                }
+                other => other.map_err(|e| format!("malformed submission: {e}")),
+            };
+            let msg = match msg {
+                Ok(msg) => msg,
+                Err(reason) => {
+                    let refusal = ServerMsg::Rejected {
+                        reason,
+                        retryable: false,
+                    };
+                    let _ = write_frame(&mut stream, &refusal.to_bytes());
+                    continue;
+                }
+            };
+            let conn = next_conn;
+            next_conn += 1;
+            conns.insert(conn, stream);
+            match leases.handle(&mut core, conn, msg) {
+                Ok(true) => accepted += 1,
+                // A permanently rejected submission still counts toward
+                // the expected total, or the server would wait forever
+                // for a session that will never exist. Shed (retryable)
+                // submissions come back.
+                Err(rejection) if !rejection.retryable => {
+                    accepted += 1;
+                    served += 1;
+                }
+                _ => {}
             }
+            deliver(&mut conns, &mut leases);
+            // Close what no lease sends to: refused submissions and
+            // connections a reconnect replaced.
+            conns.retain(|&c, _| leases.is_bound(c));
         }
 
         if served >= expected_sessions {
             // Everything ran; stay up only while an undelivered result
             // can still be redeemed within the linger window.
-            let outstanding = leases
-                .values()
-                .any(|l| l.done && !l.delivered && l.submission != 0);
             let deadline = *linger_deadline.get_or_insert_with(|| Instant::now() + linger);
-            if !outstanding || Instant::now() >= deadline {
+            if !leases.outstanding() || Instant::now() >= deadline {
                 return Ok(served);
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -221,266 +155,82 @@ pub fn serve_sessions_with(
         }
         core.step();
         for event in core.drain_events() {
-            if let Some(lease) = leases.get_mut(&event.session) {
-                let msg = ServerMsg::Progress(event);
-                send(lease, &msg);
-                lease.history.push(msg);
-            }
+            leases.publish(event.session, ServerMsg::Progress(event));
         }
         for done in core.drain_finished() {
             served += 1;
-            if let Some(lease) = leases.get_mut(&done.session) {
-                let msg = ServerMsg::Done(done);
-                if send(lease, &msg) {
-                    lease.delivered = true;
-                }
-                lease.done = true;
-                lease.history.push(msg);
-            }
+            leases.publish(done.session, ServerMsg::Done(done));
         }
+        deliver(&mut conns, &mut leases);
     }
 }
 
-/// Writes one message to a lease's attached stream, detaching the stream
-/// on failure (the lease and its history survive). Returns whether the
-/// write succeeded.
-fn send(lease: &mut Lease, msg: &ServerMsg) -> bool {
-    let Some(stream) = &mut lease.stream else {
-        return false;
-    };
-    if write_frame(stream, &msg.to_bytes()).is_err() {
-        lease.stream = None;
-        return false;
-    }
-    true
-}
-
-/// Attaches a (re)connecting stream to a lease: acknowledges with
-/// `Accepted`, replays every buffered event past `after_seq`, and — if
-/// the session already finished — the final record.
-fn attach(lease: &mut Lease, stream: TcpStream, session: u64, after_seq: u64) {
-    lease.stream = Some(stream);
-    if !send(lease, &ServerMsg::Accepted { session }) {
-        return;
-    }
-    let replay: Vec<ServerMsg> = lease
-        .history
-        .iter()
-        .filter(|m| match m {
-            ServerMsg::Progress(p) => p.seq > after_seq,
-            ServerMsg::Done(_) => true,
-            _ => false,
-        })
-        .cloned()
-        .collect();
-    for msg in replay {
-        let was_done = matches!(msg, ServerMsg::Done(_));
-        if !send(lease, &msg) {
-            return;
-        }
-        if was_done {
-            lease.delivered = true;
+/// Writes every message the lease table queued. A failed write closes
+/// the connection and tells the lease table; the session and its lease
+/// carry on.
+fn deliver(conns: &mut BTreeMap<u64, TcpStream>, leases: &mut LeaseTable<u64>) {
+    for (conn, msg) in leases.take_sends() {
+        let Some(stream) = conns.get_mut(&conn) else {
+            continue;
+        };
+        if write_frame(stream, &msg.to_bytes()).is_err() {
+            conns.remove(&conn);
+            leases.disconnected(conn);
+        } else if let ServerMsg::Done(done) = &msg {
+            leases.delivered(done.session);
         }
     }
-    if let Some(stream) = &mut lease.stream {
-        let _ = stream.flush();
-    }
-}
-
-/// Reads one frame from a freshly accepted connection, tolerating short
-/// reads, `Interrupted`, and frames split across read-timeout boundaries:
-/// the 5-second patience window restarts whenever bytes arrive, so a slow
-/// client loses its connection only after 5s of true silence — never
-/// because a frame straddled a timeout tick.
-fn read_frame_blocking(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut len_bytes = [0u8; 4];
-    let got = read_patient(stream, &mut len_bytes)?;
-    if got == 0 {
-        return Ok(None);
-    }
-    if got < len_bytes.len() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed inside a frame length prefix",
-        ));
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    let got = read_patient(stream, &mut payload)?;
-    if got < payload.len() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            format!("connection closed {got} byte(s) into a {len}-byte frame"),
-        ));
-    }
-    Ok(Some(payload))
-}
-
-/// Fills `buf` from a stream with a short read timeout, restarting the
-/// 5-second patience window on every byte of progress. Returns bytes read
-/// (short only on clean EOF); times out only after 5s with no progress.
-fn read_patient(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
-    let patience = Duration::from_secs(5);
-    let mut last_progress = Instant::now();
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                filled += n;
-                last_progress = Instant::now();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if last_progress.elapsed() >= patience {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "no bytes for 5s mid-frame",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(filled)
 }
 
 /// Client helper: submits `request` to `addr`, then blocks collecting
 /// events until the final record arrives. Returns the streamed progress
-/// events and the final [`DoneMsg`](crate::wire::DoneMsg).
+/// events and the final [`DoneMsg`].
 pub fn submit_and_wait(
     addr: std::net::SocketAddr,
-    request: crate::wire::RunRequest,
-) -> std::io::Result<(Vec<crate::wire::ProgressEvent>, crate::wire::DoneMsg)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    write_frame(&mut stream, &ClientMsg::Submit(request).to_bytes())?;
-    collect_stream(&mut stream, 0)
+    request: RunRequest,
+) -> std::io::Result<(Vec<ProgressEvent>, DoneMsg)> {
+    run_client(addr, Client::new(request))
 }
 
-/// Client helper: redeems the lease of an earlier submission after a
-/// dropped connection, resuming the event stream past `after_seq`.
+/// Client helper: redeems the lease of the earlier, accepted `request`
+/// after a dropped connection, resuming the event stream past
+/// `after_seq`.
 pub fn reconnect_and_wait(
     addr: std::net::SocketAddr,
-    tenant: &str,
-    submission: u64,
+    request: &RunRequest,
     after_seq: u64,
-) -> std::io::Result<(Vec<crate::wire::ProgressEvent>, crate::wire::DoneMsg)> {
+) -> std::io::Result<(Vec<ProgressEvent>, DoneMsg)> {
+    run_client(addr, Client::resuming(request.clone(), after_seq))
+}
+
+/// Opens one connection for `client`'s first action and feeds it the
+/// server's stream until the final record. A rejection is an
+/// `InvalidInput` error carrying its reason.
+fn run_client(
+    addr: std::net::SocketAddr,
+    mut client: Client,
+) -> std::io::Result<(Vec<ProgressEvent>, DoneMsg)> {
+    let Some(Action::Connect(hello)) = client.poll(0) else {
+        unreachable!("a fresh or resuming client opens a connection first");
+    };
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
-    write_frame(
-        &mut stream,
-        &ClientMsg::Reconnect {
-            tenant: tenant.to_string(),
-            submission,
-            after_seq,
-        }
-        .to_bytes(),
-    )?;
-    collect_stream(&mut stream, after_seq)
-}
-
-/// Client helper: [`submit_and_wait`] with retry under exponential
-/// backoff. Connection failures and retryable (overload) rejections back
-/// off and retry up to `max_attempts` times; a dropped connection
-/// mid-stream reconnects and resumes when the request carries a non-zero
-/// idempotency key. Returns the deduplicated event stream and the final
-/// record.
-pub fn submit_with_retry(
-    addr: std::net::SocketAddr,
-    request: crate::wire::RunRequest,
-    max_attempts: usize,
-) -> std::io::Result<(Vec<crate::wire::ProgressEvent>, crate::wire::DoneMsg)> {
-    let mut backoff = Duration::from_millis(2);
-    let mut events: Vec<crate::wire::ProgressEvent> = Vec::new();
-    let mut last_err = None;
-    for attempt in 0..max_attempts.max(1) {
-        if attempt > 0 {
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(Duration::from_millis(500));
-        }
-        let after_seq = events.last().map_or(0, |e| e.seq);
-        let outcome = if after_seq > 0 && request.submission != 0 {
-            reconnect_and_wait(addr, &request.tenant, request.submission, after_seq)
-        } else {
-            submit_and_wait(addr, request.clone())
-        };
-        match outcome {
-            Ok((mut tail, done)) => {
-                events.append(&mut tail);
-                return Ok((events, done));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
-                // Non-retryable rejection: surface immediately.
-                if !e.to_string().starts_with("overloaded") {
-                    return Err(e);
-                }
-                last_err = Some(e);
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err
-        .unwrap_or_else(|| std::io::Error::new(std::io::ErrorKind::TimedOut, "no attempts made")))
-}
-
-/// Drains one server stream until the final record, deduplicating by seq
-/// (frames at or below `after_seq` were already seen).
-fn collect_stream(
-    stream: &mut TcpStream,
-    after_seq: u64,
-) -> std::io::Result<(Vec<crate::wire::ProgressEvent>, crate::wire::DoneMsg)> {
-    drain_stream(stream, after_seq)
-}
-
-/// The transport-agnostic body of [`submit_and_wait`]'s receive loop:
-/// reads framed [`ServerMsg`]s from any byte stream until the final
-/// record, dropping duplicated or replayed progress frames by seq
-/// (anything at or below `after_seq` was already seen). Exposed so
-/// adversarial-wire property tests can drive the exact dedupe path the
-/// TCP client runs, over in-memory bytes.
-pub fn drain_stream(
-    stream: &mut impl Read,
-    after_seq: u64,
-) -> std::io::Result<(Vec<crate::wire::ProgressEvent>, crate::wire::DoneMsg)> {
-    let mut events = Vec::new();
-    let mut last_seq = after_seq;
+    write_frame(&mut stream, &hello.to_bytes())?;
     loop {
-        let Some(payload) = read_frame(stream)? else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
+        let payload = read_frame(&mut stream)?.ok_or_else(|| {
+            Error::new(
+                ErrorKind::UnexpectedEof,
                 "server closed before the final record",
-            ));
-        };
+            )
+        })?;
         let msg = ServerMsg::from_bytes(&payload)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        match msg {
-            ServerMsg::Accepted { .. } => {}
-            ServerMsg::Rejected { reason, .. } => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    reason,
-                ))
-            }
-            ServerMsg::Progress(event) => {
-                // Duplicated or replayed frames repeat a seq: drop them.
-                if event.seq > last_seq {
-                    last_seq = event.seq;
-                    events.push(event);
-                }
-            }
-            ServerMsg::Done(done) => return Ok((events, done)),
+            .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?;
+        if let ServerMsg::Rejected { reason, .. } = msg {
+            return Err(Error::new(ErrorKind::InvalidInput, reason));
+        }
+        client.receive(msg, 0);
+        if let Some(done) = client.done.take() {
+            return Ok((client.events, done));
         }
     }
 }

@@ -24,7 +24,7 @@ use aibench::registry::Registry;
 use aibench_chaos::{run_soak, ChaosKind, ChaosSchedule, ChaosSite, SoakConfig};
 use aibench_parallel::Exec;
 use aibench_serve::wire::{read_frame, write_frame, ClientMsg, ServerMsg};
-use aibench_serve::{run_trace, RunRequest, ServeConfig};
+use aibench_serve::{run_trace, Quirks, RunRequest, ServeConfig};
 
 const PROBE: &str = "DC-AI-C15";
 
@@ -197,7 +197,7 @@ fn killed_tcp_connection_reconnects_and_resumes_the_same_bits() {
     // Redeem the lease: the replayed stream resumes past `last_seq` and
     // ends in the same final record an uninterrupted client gets.
     let (events, done) =
-        aibench_serve::reconnect_and_wait(addr, "acme", 42, last_seq).expect("lease redeems");
+        aibench_serve::reconnect_and_wait(addr, &request, last_seq).expect("lease redeems");
     assert_eq!(server.join().unwrap().unwrap(), 1);
     assert!(
         events.iter().all(|e| e.seq > last_seq),
@@ -216,6 +216,67 @@ fn killed_tcp_connection_reconnects_and_resumes_the_same_bits() {
         done.outcome_signature,
         expected.sessions[0].done.outcome_signature
     );
+}
+
+/// The `drop_lease` quirk over real sockets. A client's connection dies
+/// mid-stream; the server's next writes fail and it records the loss.
+/// With the flag off the reconnecting client redeems its lease and gets
+/// the uninterrupted run's bits; with it on the server forgot the lease
+/// and refuses the reconnect with "no lease". The killed session trains
+/// the CNN (DC-AI-C1), whose epochs are long enough that the server
+/// still has progress to write after the client hangs up.
+#[test]
+fn dropped_lease_quirk_strands_a_reconnecting_tcp_client() {
+    let registry = Registry::aibench();
+    let request = RunRequest::new("acme", "DC-AI-C1", 7, 3).with_submission(42);
+    let expected = run_trace(&registry, ServeConfig::default(), &[(0, request.clone())]);
+    for drop_lease in [false, true] {
+        let config = ServeConfig {
+            quirks: Quirks {
+                drop_lease,
+                ..Quirks::default()
+            },
+            ..ServeConfig::default()
+        };
+        let (addr_tx, addr_rx) = std::sync::mpsc::channel();
+        // Two sessions: the killed one, then one more that lets the
+        // server finish whatever became of the first.
+        let server = std::thread::spawn(move || {
+            let registry = Registry::aibench();
+            aibench_serve::serve_sessions(&registry, config, "127.0.0.1:0", 2, move |addr| {
+                addr_tx.send(addr).unwrap()
+            })
+        });
+        let addr = addr_rx.recv().expect("server never bound");
+
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        write_frame(&mut stream, &ClientMsg::Submit(request.clone()).to_bytes()).unwrap();
+        let last_seq = loop {
+            let payload = read_frame(&mut stream).unwrap().expect("server open");
+            if let ServerMsg::Progress(p) = ServerMsg::from_bytes(&payload).unwrap() {
+                break p.seq;
+            }
+        };
+        drop(stream);
+        // Long enough for the session to finish and every write to the
+        // dead connection to fail.
+        std::thread::sleep(Duration::from_secs(1));
+
+        let redeemed = aibench_serve::reconnect_and_wait(addr, &request, last_seq);
+        aibench_serve::submit_and_wait(addr, RunRequest::new("zeta", PROBE, 8, 1))
+            .expect("the closing session round-trips");
+        assert_eq!(server.join().unwrap().unwrap(), 2);
+        if drop_lease {
+            let err = redeemed.expect_err("the quirk must strand the client");
+            assert!(err.to_string().contains("no lease"), "{err}");
+        } else {
+            let (events, done) = redeemed.expect("lease redeems");
+            assert!(events.iter().all(|e| e.seq > last_seq));
+            assert!(done
+                .result
+                .deterministic_eq(&expected.sessions[0].done.result));
+        }
+    }
 }
 
 /// One pinned soak report: every field `ChaosReport::deterministic_eq`
@@ -250,7 +311,7 @@ fn pinned_soak_reports_hold_their_literal_values() {
     let reset = ChaosSchedule::new(3).inject(ChaosSite::ServerToClient, 2, ChaosKind::Reset);
     let dropping = SoakConfig {
         serve: ServeConfig {
-            quirks: aibench_serve::Quirks {
+            quirks: Quirks {
                 drop_lease: true,
                 ..Default::default()
             },

@@ -9,18 +9,15 @@
 //! * a byte stream cut at any offset either yields the exact original
 //!   frames, a clean end-of-stream, or an error — never a short payload;
 //! * duplicated and reordered progress frames are deduplicated by seq in
-//!   the client's receive loop ([`drain_stream`]), which still delivers
-//!   the final record intact;
+//!   the client protocol machine ([`Client::receive`]), which still
+//!   delivers the final record intact;
 //! * a length prefix of exactly `MAX_FRAME` is accepted; `MAX_FRAME + 1`
 //!   is rejected before any payload byte is read.
 
-use std::io::Cursor;
-
 use aibench::runner::RunResult;
+use aibench_serve::client::Client;
 use aibench_serve::wire::{read_frame, write_frame, MAX_FRAME};
-use aibench_serve::{
-    drain_stream, ClientMsg, DoneMsg, Event, ProgressEvent, RunRequest, ServerMsg,
-};
+use aibench_serve::{ClientMsg, DoneMsg, Event, ProgressEvent, RunRequest, ServerMsg};
 use proptest::prelude::*;
 
 /// A deterministic palette of client messages for sampling.
@@ -169,7 +166,7 @@ proptest! {
     }
 
     // Duplicated and reordered progress frames are deduplicated by seq:
-    // the client's receive loop yields a strictly increasing, repeat-free
+    // the client machine yields a strictly increasing, repeat-free
     // event stream and the intact final record.
     #[test]
     fn duplicated_and_reordered_progress_is_deduplicated(
@@ -200,8 +197,13 @@ proptest! {
         }
         write_frame(&mut stream, &ServerMsg::Done(done_msg(3)).to_bytes()).unwrap();
 
-        let (events, done) = drain_stream(&mut Cursor::new(stream), 0).unwrap();
-        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        let mut client = Client::new(RunRequest::new("acme", "DC-AI-C15", 7, 4));
+        let mut r = &stream[..];
+        while let Some(frame) = read_frame(&mut r).unwrap() {
+            client.receive(ServerMsg::from_bytes(&frame).unwrap(), 0);
+        }
+        let done = client.done.expect("the final record arrives");
+        let seqs: Vec<u64> = client.events.iter().map(|e| e.seq).collect();
         prop_assert!(
             seqs.windows(2).all(|w| w[0] < w[1]),
             "delivered seqs not strictly increasing: {:?} (order {:?})",
