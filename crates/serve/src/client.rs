@@ -16,7 +16,7 @@ use crate::wire::{ClientMsg, DoneMsg, ProgressEvent, RunRequest, ServerMsg};
 const ACCEPT_TIMEOUT: u64 = 40;
 
 /// What the client wants sent.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Action {
     /// Open a new connection whose first frame is this message.
     Connect(ClientMsg),
@@ -39,7 +39,7 @@ enum Phase {
 }
 
 /// One client's side of the protocol for one request.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Client {
     request: RunRequest,
     phase: Phase,
